@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -38,14 +37,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_HEARING_MISMATCH = 3
 EXIT_STRICT_DISCREPANCY = 4
-
-
-def _threads():
-    raw = os.environ.get("PADIC_SPECTRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"PADIC_SPECTRA_THREADS must be an integer, got {raw!r}")
 
 
 def _parse_exponent(text):
@@ -222,7 +213,7 @@ def cmd_simulate(args):
 
 def cmd_count(args):
     curve = _curve_from_args(args)
-    N = count_points_bruteforce(curve, threads=_threads())
+    N = count_points_bruteforce(curve)
     lo, hi = hasse_window(curve.q)
     payload = {
         "config": _config_echo(args),
@@ -241,7 +232,7 @@ def cmd_hear(args):
     model = build_elliptic_model(curve, args.level)
     summary = spectral.enumerate_spectrum(model, args.s)
     lam0 = summary.lambda_min_wavelet
-    N_true = count_points_bruteforce(curve, threads=_threads())
+    N_true = count_points_bruteforce(curve)
     payload = {
         "config": _config_echo(args),
         "s": float(args.s),
@@ -344,7 +335,7 @@ def build_parser():
     spectrum = commands.add_parser("spectrum", help="wavelet eigenvalue classes")
     _add_model_arguments(spectrum)
     spectrum.add_argument("--s", type=_parse_exponent, default=2, help="kernel exponent")
-    spectrum.add_argument("--exact", action="store_true", help="exact rational quadrature (integer s)")
+    spectrum.add_argument("--exact", action="store_true", help="exact rational arithmetic (integer s)")
     _add_output_arguments(spectrum)
     spectrum.set_defaults(func=cmd_spectrum)
 

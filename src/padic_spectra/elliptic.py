@@ -16,12 +16,14 @@ generic path metric then reproduces the curve's distance case table:
 a<->b at (N-3)/q, a<->c at N/q, b<->c and c<->c at (N-1)/q, b<->b at
 (N-4)/q.
 
-Wavelet eigenvalues admit a closed form.  The published constants fail
-their own s = 0 consistency gate (at s = 0 every eigenvalue must equal
-the total measure N/q), so ``closed_form_eigenvalue`` carries the
-corrected constants, which are verified against direct quadrature in the
-test suite, and ``published_eigenvalue`` preserves the literal printed
-ones for discrepancy reporting.
+Wavelet eigenvalues come in closed form from the same engine as every
+other model's spectrum (``spectral.class_eigenvalues``), evaluated on the
+fiber census {a: 1, b: N-4, c: 3} without building a model; the cross-fiber
+distances come from the same nerve path search.  The published constants
+fail their own s = 0 consistency gate (at s = 0 every eigenvalue must
+equal the total measure N/q), so ``closed_form_eigenvalue`` does not use
+them; ``published_eigenvalue`` preserves the literal printed ones for
+discrepancy reporting.
 
 Hearing the point count inverts lambda0: a forward integer search over
 the Hasse window, unique because the forward map is strictly monotone in
@@ -32,11 +34,13 @@ diagnostics, never used for the inversion itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .fields import FiniteField, FqElement
-from .models import CellModel
+from .models import CellModel, _census_distance
+from .spectral import _ball_eigenvalue, _is_integral, _kappa, _power
 
 __all__ = [
     "CurveSpec",
@@ -138,33 +142,20 @@ class CurveSpec:
         return f"CurveSpec(p={self.p}, f={self.f}, A={self.A.code}, B={self.B.code})"
 
 
-def count_points_bruteforce(curve, threads=1):
+def count_points_bruteforce(curve):
     """N = 1 + #{(x, y) in F_q^2 : y^2 = x^3 + Ax + B}, by exhaustion.
 
     The point at infinity contributes the leading 1.  Runs in O(q) field
-    operations using a table of square counts.  With threads > 1 the x
-    loop is split into chunks over a thread pool; results are identical.
+    operations using a table of square counts.
     """
     field = curve.field
-    q = field.q
     square_count = {}
     for y in field.elements():
         code = (y * y).code
         square_count[code] = square_count.get(code, 0) + 1
-
-    def chunk_sum(lo, hi):
-        return sum(
-            square_count.get(curve.rhs(field(x)).code, 0) for x in range(lo, hi)
-        )
-
-    if threads <= 1 or q < 4 * threads:
-        return 1 + chunk_sum(0, q)
-    import concurrent.futures
-
-    step = -(-q // threads)
-    bounds = [(lo, min(lo + step, q)) for lo in range(0, q, step)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return 1 + sum(pool.map(lambda b: chunk_sum(*b), bounds))
+    return 1 + sum(
+        square_count.get(curve.rhs(field(x)).code, 0) for x in range(field.q)
+    )
 
 
 def serre_invariant(curve):
@@ -272,28 +263,6 @@ def build_elliptic_model(curve, level):
 # -- closed-form eigenvalues -------------------------------------------------
 
 
-def _pow(base, exponent):
-    """base^exponent, exact Fraction for integer exponents, float otherwise."""
-    base = Fraction(base)
-    if isinstance(exponent, Fraction) and exponent.denominator == 1:
-        exponent = int(exponent)
-    if isinstance(exponent, int):
-        return base**exponent
-    return float(base) ** float(exponent)
-
-
-def _is_integral(s):
-    if isinstance(s, int):
-        return True
-    if isinstance(s, Fraction):
-        return s.denominator == 1
-    return isinstance(s, float) and s.is_integer()
-
-
-def _as_exponent(s):
-    return int(s) if _is_integral(s) else float(s)
-
-
 def _level_of_measure(mu_B, q):
     mu_B = Fraction(mu_B)
     if mu_B.numerator != 1:
@@ -313,63 +282,55 @@ def _level_of_measure(mu_B, q):
 def kappa_term(region, s, N, q):
     """Cross-fiber part of the eigenvalue: sum of d^(-s) * (fiber measure).
 
-    The distances are the cross-fiber geodesic values; the weights count
-    the fibers at each distance as seen from a fiber of the given region.
+    The closed-form engine's cross-top sum on the fiber census, with the
+    distances from the nerve path search over the curve's two charts.
     """
     if N < 6:
         raise HypothesisError("need at least 6 points for the fiber census terms")
-    s = _as_exponent(s)
-    if region == "a":
-        parts = [(N - 3, N - 4), (N, 3)]
-    elif region == "b":
-        parts = [(N - 4, N - 5), (N - 1, 3), (N - 3, 1)]
-    elif region == "c":
-        parts = [(N - 1, N - 2), (N, 1)]
-    else:
+    if region not in REGION_CHARTS:
         raise ValueError(f"unknown region {region!r}")
-    total = 0
-    for distance_num, fiber_count in parts:
-        total += _pow(Fraction(distance_num, q), -s) * Fraction(fiber_count, q)
-    return total
+    census = {
+        REGION_CHARTS["a"]: 1,
+        REGION_CHARTS["b"]: N - 4,
+        REGION_CHARTS["c"]: 3,
+    }
+    distance = functools.partial(_census_distance, census, branching=q)
+    return _kappa(census, distance, REGION_CHARTS[region], q, s, _is_integral(s))
 
 
 def closed_form_eigenvalue(mu_B, region, s, N, q):
     """Wavelet eigenvalue for a ball of measure mu_B = q^(-l) in a region.
 
     mu_B^(1-s), plus the same-fiber shell sum (1 - 1/q) * sum_{j<l}
-    q^(j(s-1)), plus the cross-fiber kappa term.  Exact Fraction for
-    integer s.  Collapses to N/q at s = 0 for every region and level, and
-    agrees with direct quadrature on built models (asserted in tests);
-    see published_eigenvalue for the literal printed constants.
+    q^(j(s-1)), plus the cross-fiber kappa term: the closed-form engine of
+    spectral.class_eigenvalues on the fiber census.  Exact Fraction for
+    integer s.  Collapses to N/q at s = 0 for every region and level; see
+    published_eigenvalue for the literal printed constants.
     """
     q = int(q)
     level = _level_of_measure(mu_B, q)
-    s = _as_exponent(s)
-    value = _pow(Fraction(1, q**level), 1 - s)
-    shell = Fraction(q - 1, q)
-    for j in range(1, level):
-        value += shell * _pow(Fraction(1, q**j), 1 - s)
-    return value + kappa_term(region, s, N, q)
+    kappa = kappa_term(region, s, N, q)
+    return _ball_eigenvalue(level, kappa, q, s, _is_integral(s))
 
 
 def published_kappa(region, s, N, q):
     """The printed constants a(s), b(s), c(s), kept verbatim as diagnostics."""
-    s = _as_exponent(s)
     q = int(q)
+    exact = _is_integral(s)
+
+    def term(num, exponent):
+        return _power(Fraction(num, q), exponent, exact)
+
     if region == "a":
-        return _pow(Fraction(N - 3, q), -s) * Fraction(N - 4, q) + _pow(
-            Fraction(N, q), 1 - s
-        )
+        return term(N - 3, -s) * Fraction(N - 4, q) + term(N, 1 - s)
     if region == "b":
         return (
-            _pow(Fraction(N - 4, q), -s) * Fraction(N - 5, q)
-            + _pow(Fraction(N - 1, q), 1 - s)
-            + _pow(Fraction(N - 3, q), 1 - s)
+            term(N - 4, -s) * Fraction(N - 5, q)
+            + term(N - 1, 1 - s)
+            + term(N - 3, 1 - s)
         )
     if region == "c":
-        return _pow(Fraction(N - 1, q), -s) * Fraction(N - 2, q) + _pow(
-            Fraction(N, q), 1 - s
-        )
+        return term(N - 1, -s) * Fraction(N - 2, q) + term(N, 1 - s)
     raise ValueError(f"unknown region {region!r}")
 
 
@@ -381,10 +342,10 @@ def published_eigenvalue(mu_B, region, s, N, q):
     """
     q = int(q)
     _level_of_measure(mu_B, q)
-    s = _as_exponent(s)
+    exact = _is_integral(s)
     return (
         1
-        + (1 - _pow(Fraction(q), 1 - s)) * _pow(Fraction(mu_B), 1 - s)
+        + (1 - _power(q, 1 - s, exact)) * _power(mu_B, 1 - s, exact)
         + published_kappa(region, s, N, q)
     )
 
@@ -420,7 +381,7 @@ def lambda0(source, q=None, s=2, level=2):
 
     `source` is a CurveSpec (counted by brute force) or the integer point
     count N with q supplied.  For s > 1 the minimum sits on the maximal
-    balls mu_B = 1/q (asserted).
+    balls mu_B = 1/q; HearingError if it does not.
     """
     if isinstance(source, CurveSpec):
         N = count_points_bruteforce(source)
@@ -436,9 +397,10 @@ def lambda0(source, q=None, s=2, level=2):
                 Fraction(1, q**ell), region, s, N, q
             )
     best = min(values.values())
-    if _as_exponent(s) > 1:
+    if float(s) > 1:
         argmin_levels = {k[0] for k, v in values.items() if v == best}
-        assert argmin_levels == {1}, "minimum not on the maximal balls"
+        if argmin_levels != {1}:
+            raise HearingError("minimum not on the maximal balls")
     return best
 
 

@@ -21,13 +21,15 @@ Two families are built here, the third by the elliptic module:
 
 Geodesic distance follows the join when it exists and otherwise minimizes
 the measure of a union of chart overlaps along simple facet/coface paths
-in the nerve; union measures are exact cell sums, not sums of weights.
+in the nerve; union measures are exact top counts from the region census
+(the number of top balls in each chart region), not sums of weights.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +288,7 @@ class CellModel:
         "chart_balls",
         "nerve",
         "rep_fn",
+        "_census",
         "_cross_cache",
     )
 
@@ -301,6 +304,7 @@ class CellModel:
         self.tops = tuple(tops)
         self.chart_ids = tuple(chart_ids)
         self.chart_balls = chart_balls
+        self._census = Counter(top.region for top in self.tops)
         self.nerve = nerve_weights(self)
         self.rep_fn = rep_fn
         self._cross_cache = {}
@@ -407,56 +411,14 @@ class CellModel:
         return self.cross_top_distance(self.top_index_of(x), self.top_index_of(y))
 
     def cross_top_distance(self, ta, tb):
-        """d_g between cells of distinct top balls with no join (path case)."""
-        if self.chart_balls:
-            shared = self.tops[ta].region & self.tops[tb].region
-            if shared:
-                return ChartBall(self, min(shared)).measure
+        """d_g between cells of distinct top balls, from their two regions."""
         sa, sb = self.tops[ta].region, self.tops[tb].region
         key = frozenset((sa, sb))
-        if key in self._cross_cache:
-            return self._cross_cache[key]
-        value = self._min_path_union(sa, sb)
-        self._cross_cache[key] = value
-        return value
-
-    def _top_mask(self, simplex):
-        mask = 0
-        for t in self.tops:
-            if simplex <= t.region:
-                mask |= 1 << t.index
-        return mask
-
-    def _min_path_union(self, sa, sb):
-        simplices = self.nerve.simplices()
-        masks = {s: self._top_mask(s) for s in simplices}
-        adjacent = {s: [] for s in simplices}
-        for s, t in itertools.combinations(simplices, 2):
-            if (s < t or t < s) and abs(len(s) - len(t)) == 1:
-                adjacent[s].append(t)
-                adjacent[t].append(s)
-        best = None
-
-        def search(current, union, visited):
-            nonlocal best
-            count = union.bit_count()
-            if best is not None and count >= best:
-                return
-            if current == sb:
-                best = count
-                return
-            for nxt in adjacent[current]:
-                if nxt not in visited:
-                    search(nxt, union | masks[nxt], visited | {nxt})
-
-        if sa not in masks or sb not in masks:
-            raise ModelError("sigma(x) not a simplex of the nerve")
-        search(sa, masks[sa], {sa})
-        if best is None:
-            raise DisconnectedNerveError(
-                f"no nerve path between {sorted(sa)} and {sorted(sb)}"
+        if key not in self._cross_cache:
+            self._cross_cache[key] = _census_distance(
+                self._census, sa, sb, self.branching, self.chart_balls
             )
-        return Fraction(best, self.branching)
+        return self._cross_cache[key]
 
     def distance_matrix(self, max_cells=EXACT_MATRIX_CELL_LIMIT):
         """All-pairs d_g as (scaled int64 matrix, scale): D[i,j] = d_g * c^m.
@@ -467,18 +429,9 @@ class CellModel:
         n = self.num_cells
         if n > max_cells:
             raise ModelError(f"{n} cells exceeds the dense-matrix limit {max_cells}")
-        c = self.branching
-        m = self.level
-        scale = c**m
+        scale = self.branching**self.level
         per = self.cells_per_top
-        u = np.arange(per)
-        depth = np.ones((per, per), dtype=np.int64)
-        agree = np.ones((per, per), dtype=bool)
-        for k in range(1, m):
-            pk = u // c ** (m - 1 - k)
-            agree &= pk[:, None] == pk[None, :]
-            depth += agree
-        same_block = scale // c**depth
+        same_block = scale // self.branching ** _within_top_depth(self)
         D = np.zeros((n, n), dtype=np.int64)
         ntops = len(self.tops)
         for a in range(ntops):
@@ -507,10 +460,72 @@ def nerve_weights(model):
     for k in range(1, len(ids) + 1):
         for combo in itertools.combinations(ids, k):
             J = frozenset(combo)
-            count = sum(1 for t in model.tops if J <= t.region)
+            count = sum(n for region, n in model._census.items() if J <= region)
             if count:
                 weights[J] = Fraction(count, model.branching)
     return NerveComplex(weights)
+
+
+def _census_distance(census, sa, sb, branching, chart_balls=False):
+    """d_g between two distinct tops with regions sa and sb, from the census.
+
+    With chart balls, tops sharing a chart lie in the chart ball of the
+    least shared chart.  Otherwise d_g is the least measure of the union of
+    chart overlaps along a simple facet/coface path from sa to sb in the
+    nerve; the tops of a region lie in that union when the region contains
+    a simplex of the path.
+    """
+    regions = list(census)
+    if chart_balls and sa & sb:
+        chart = min(sa & sb)
+        return Fraction(sum(census[r] for r in regions if chart in r), branching)
+    simplices = {
+        frozenset(sub)
+        for r in regions
+        for k in range(1, len(r) + 1)
+        for sub in itertools.combinations(sorted(r), k)
+    }
+    masks = {s: sum(1 << i for i, r in enumerate(regions) if s <= r) for s in simplices}
+    adjacent = {s: [] for s in simplices}
+    for s, t in itertools.combinations(simplices, 2):
+        if (s < t or t < s) and abs(len(s) - len(t)) == 1:
+            adjacent[s].append(t)
+            adjacent[t].append(s)
+    best = None
+
+    def search(current, union, visited):
+        nonlocal best
+        count = sum(census[r] for i, r in enumerate(regions) if union >> i & 1)
+        if best is not None and count >= best:
+            return
+        if current == sb:
+            best = count
+            return
+        for nxt in adjacent[current]:
+            if nxt not in visited:
+                search(nxt, union | masks[nxt], visited | {nxt})
+
+    search(sa, masks[sa], {sa})
+    if best is None:
+        raise DisconnectedNerveError(
+            f"no nerve path between {sorted(sa)} and {sorted(sb)}"
+        )
+    return Fraction(best, branching)
+
+
+def _within_top_depth(model):
+    """(per x per) matrix of join depths between cells of one top."""
+    c = model.branching
+    m = model.level
+    per = model.cells_per_top
+    u = np.arange(per)
+    depth = np.ones((per, per), dtype=np.int64)
+    agree = np.ones((per, per), dtype=bool)
+    for k in range(1, m):
+        pk = u // c ** (m - 1 - k)
+        agree &= pk[:, None] == pk[None, :]
+        depth += agree
+    return depth
 
 
 def join(model, x, y):

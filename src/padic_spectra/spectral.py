@@ -11,7 +11,8 @@ Its spectrum splits into two honest pieces:
 
 * wavelet eigenvalues, one class per (ball depth, chart region), each of
   multiplicity (c - 1) * #balls in the class, with eigenfunctions the
-  character wavelets supported on a single ball;
+  character wavelets supported on a single ball, each class in closed
+  form (the per-cell quadrature is kept as the test oracle);
 * the complement, spanned by top-ball indicator functions, on which L
   acts exactly as the reduced top-level operator.  Its eigenvalues come
   from numerically diagonalizing that small matrix and are reported
@@ -19,9 +20,9 @@ Its spectrum splits into two honest pieces:
   eigenvalue, so `lambda_min_wavelet` is a statement about the wavelet
   block only (that is the quantity the hearing results invert).
 
-Heat kernels, Green functions, semigroup action and path sampling all
-ride on this decomposition rather than on dense diagonalization, with
-the dense matrix kept around as the reference for the test suite.
+Heat kernels, Green functions and semigroup action ride on this
+decomposition rather than on dense diagonalization, with the dense
+matrix kept around as the reference for the test suite.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .fields import additive_character_table
-from .models import EXACT_MATRIX_CELL_LIMIT, ModelError
+from .models import EXACT_MATRIX_CELL_LIMIT, ModelError, _within_top_depth
 
 __all__ = [
     "assemble_operator",
@@ -192,29 +193,74 @@ def wavelet_eigenvalue_numeric(model, ball, s, exact=None, base_cell=None):
     return total
 
 
-def _region_representatives(model):
-    """First top index for each distinct chart region."""
-    reps = {}
-    for i, top in enumerate(model.tops):
-        reps.setdefault(top.region, i)
-    return reps
+def _power(base, exponent, exact):
+    """base^exponent: an exact Fraction (integral exponent) or a float."""
+    if exact:
+        return Fraction(base) ** int(exponent)
+    return float(base) ** float(exponent)
+
+
+def _kappa(census, distance, region, c, s, exact):
+    """Cross-top part (1/c) sum_{T' != T} d_g(T, T')^(-s) of the class
+    eigenvalue of a top T in `region`.
+
+    `census` maps each top region to its number of tops and
+    `distance(region, other)` gives d_g between two distinct tops.
+    """
+    total = 0
+    for other, count in census.items():
+        if other == region:
+            count -= 1
+        if count:
+            total += count * _power(distance(region, other), -s, exact)
+    return total * Fraction(1, c) if exact else total / c
+
+
+def _ball_eigenvalue(depth, kappa, c, s, exact):
+    """Closed-form wavelet eigenvalue of a depth-delta ball:
+
+        c^(delta(s-1)) + (1 - 1/c) sum_{1<=j<delta} c^(j(s-1)) + kappa
+
+    the ball term mu(B)^(1-s), the shells of the ball's ancestors inside
+    its top, and the cross-top part.
+    """
+    value = _power(c, depth * (s - 1), exact)
+    shell = Fraction(c - 1, c) if exact else (c - 1) / c
+    for j in range(1, depth):
+        value += shell * _power(c, j * (s - 1), exact)
+    return value + kappa
 
 
 def class_eigenvalues(model, s, exact=None):
-    """Eigenvalue for every (ball depth, region) class, from one
-    representative ball each.
+    """Eigenvalue for every (ball depth, region) class, in closed form.
 
-    Constancy on classes holds because within-top distance profiles depend
-    only on depth and cross-top distances only on the region pair; the
-    test suite spot-checks it against other members.
+    A wavelet eigenvalue depends only on the ball's depth and on the
+    distance profile outside the ball: the ancestor shells within the top
+    and one distance per other top, which depends on the region pair
+    alone.  Exact Fractions for integer s by default, floats otherwise;
+    wavelet_eigenvalue_numeric is the per-cell quadrature oracle.
     """
+    if exact is None:
+        exact = _is_integral(s)
+    elif exact and not _is_integral(s):
+        raise ValueError("exact arithmetic needs an integer exponent s")
+    c = model.branching
+    census = model._census
+    members = {}
+    for top in model.tops:
+        members.setdefault(top.region, []).append(top.index)
+
+    def distance(region, other):
+        """d_g between the first top of `region` and another top of `other`."""
+        first = members[region][0]
+        second = members[other][1 if other == region else 0]
+        return model.cross_top_distance(first, second)
+
     values = {}
-    for region, top_index in _region_representatives(model).items():
+    for region in census:
+        kappa = _kappa(census, distance, region, c, s, exact)
         for depth in range(1, model.level):
-            ball = model.ball(top_index, (0,) * (depth - 1))
-            values[(depth, region)] = wavelet_eigenvalue_numeric(
-                model, ball, s, exact=exact
-            )
+            values[(depth, region)] = _ball_eigenvalue(depth, kappa, c, s, exact)
     return values
 
 
@@ -293,15 +339,12 @@ def enumerate_spectrum(model, s, exact=None):
     one indicator give c^(m-1) dimensions.
     """
     values = class_eigenvalues(model, s, exact=exact)
-    region_counts = {}
-    for top in model.tops:
-        region_counts[top.region] = region_counts.get(top.region, 0) + 1
     c = model.branching
     classes = []
     for (depth, region), lam in sorted(
         values.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))
     ):
-        num_balls = region_counts[region] * c ** (depth - 1)
+        num_balls = model._census[region] * c ** (depth - 1)
         classes.append(
             SpectrumClass(
                 lam,
@@ -323,21 +366,6 @@ def enumerate_spectrum(model, s, exact=None):
 # -- kernels ------------------------------------------------------------------
 
 
-def _within_top_depth(model):
-    """(per x per) matrix of join depths between cells of one top."""
-    c = model.branching
-    m = model.level
-    per = model.cells_per_top
-    u = np.arange(per)
-    depth = np.ones((per, per), dtype=np.int64)
-    agree = np.ones((per, per), dtype=bool)
-    for k in range(1, m):
-        pk = u // c ** (m - 1 - k)
-        agree &= pk[:, None] == pk[None, :]
-        depth += agree
-    return depth
-
-
 def _synthesis_kernel(model, weights_by_class, block_coefficients):
     """Kernel sum_psi w(class) psi(x) psi(y)* + block part, assembled from
     per-class weights and a tops x tops coefficient matrix.
@@ -349,7 +377,6 @@ def _synthesis_kernel(model, weights_by_class, block_coefficients):
     c = model.branching
     m = model.level
     per = model.cells_per_top
-    n = model.num_cells
     depth = _within_top_depth(model)
     region_block = {}
     for region in {t.region for t in model.tops}:
@@ -365,7 +392,6 @@ def _synthesis_kernel(model, weights_by_class, block_coefficients):
     for i, top in enumerate(model.tops):
         sl = slice(i * per, (i + 1) * per)
         K[sl, sl] += region_block[top.region]
-    assert K.shape == (n, n)
     return K
 
 

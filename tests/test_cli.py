@@ -224,16 +224,3 @@ def test_equalise_near_identity_map(capsys, tmp_path):
 def test_equalise_missing_file(capsys):
     code, _, err = run(capsys, "equalise", "--map", "/nonexistent/map.json")
     assert code == 2
-
-
-def test_threads_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("PADIC_SPECTRA_THREADS", "many")
-    code, _, err = run(capsys, "count", "--p", "13", "--a4", "-1", "--a6", "0")
-    assert code == 2
-    assert "PADIC_SPECTRA_THREADS" in err
-
-
-def test_threads_env_used(capsys, monkeypatch):
-    monkeypatch.setenv("PADIC_SPECTRA_THREADS", "2")
-    doc = run_json(capsys, "count", "--p", "17", "--a4", "-1", "--a6", "0")
-    assert doc["N"] == 16

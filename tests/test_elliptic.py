@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from padic_spectra import spectral
+from padic_spectra import elliptic, spectral
 from padic_spectra.elliptic import (
     AmbiguousMatchError,
     CurveSpec,
+    HearingError,
     HypothesisError,
     NoMatchError,
     branch_points_rational,
@@ -100,8 +101,14 @@ def test_point_count_extension_field():
 
 
 def test_threaded_count_agrees():
+    # the point count once had a thread-pool path; the plain count must
+    # agree with an Euler-criterion count on the curve it was checked on
     curve = CurveSpec(29, 22, 6)
-    assert count_points_bruteforce(curve, threads=4) == 32
+    euler = 1 + sum(
+        1 + (0 if r == 0 else (1 if pow(r, 14, 29) == 1 else -1))
+        for r in ((x**3 + 22 * x + 6) % 29 for x in range(29))
+    )
+    assert count_points_bruteforce(curve) == euler == 32
 
 
 def test_serre_invariant():
@@ -187,6 +194,25 @@ def test_kappa_needs_at_least_six_points():
         kappa_term("a", 2, 5, 13)
 
 
+def _fiber_distance_table(N):
+    """(distance numerator over q, fiber count) of the other fibers, as seen
+    from a fiber of each region; N is the point count."""
+    return {
+        "a": [(N - 3, N - 4), (N, 3)],
+        "b": [(N - 4, N - 5), (N - 1, 3), (N - 3, 1)],
+        "c": [(N - 1, N - 2), (N, 1)],
+    }
+
+
+@pytest.mark.parametrize("s", [0, 2, 3])
+def test_kappa_matches_fiber_distance_table(s):
+    q = 13
+    for N in range(6, 61):
+        for region, parts in _fiber_distance_table(N).items():
+            expected = sum(Fraction(d, q) ** -s * Fraction(k, q) for d, k in parts)
+            assert kappa_term(region, s, N, q) == expected, (N, region)
+
+
 def test_published_form_disagrees_with_quadrature():
     # the printed closed form misses the s=0 collapse in every region
     for region in ("a", "b", "c"):
@@ -204,6 +230,16 @@ def test_published_form_disagrees_with_quadrature():
 def test_lambda0_is_exact_for_integer_s():
     lam = lambda0(CurveSpec(13, -1, 0), s=2)
     assert lam == Fraction(46397, 3136)
+
+
+def test_lambda0_raises_when_minimum_leaves_maximal_balls(monkeypatch):
+    # a forward map whose minimum sits on the depth-2 balls breaks the s > 1
+    # invariant; lambda0 raises a real error (not an assert, which -O strips)
+    monkeypatch.setattr(
+        elliptic, "closed_form_eigenvalue", lambda mu_B, region, s, N, q: mu_B
+    )
+    with pytest.raises(HearingError, match="maximal balls"):
+        lambda0(8, q=13, s=2, level=3)
 
 
 def test_lambda0_argmin_reports_ties():

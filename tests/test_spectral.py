@@ -138,6 +138,36 @@ def test_exact_eigenvalues_match_rational_quadrature(e13_model):
         assert lam1 == E13_S2_EXACT[label][0]
 
 
+def _oracle_models():
+    f2_model, _, _ = build_projective_model(5, 1, 2, f=2)
+    return builtin_models() + [("P1(25) level 2", f2_model)]
+
+
+ORACLE_MODELS = _oracle_models()
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 1.5])
+@pytest.mark.parametrize(
+    "label,model",
+    ORACLE_MODELS,
+    ids=[label.replace("/", "").replace(" level ", "-m") for label, _ in ORACLE_MODELS],
+)
+def test_class_eigenvalues_match_quadrature_oracle(label, model, s):
+    # closed form per class against per-cell quadrature on the class's
+    # representative ball: the first top of the region, leftmost prefix
+    values = spectral.class_eigenvalues(model, s)
+    regions = {t.region for t in model.tops}
+    assert set(values) == {(d, r) for d in range(1, model.level) for r in regions}
+    for (depth, region), lam in values.items():
+        top = next(t.index for t in model.tops if t.region == region)
+        ball = model.ball(top, (0,) * (depth - 1))
+        ref = spectral.wavelet_eigenvalue_numeric(model, ball, s)
+        if isinstance(s, int):
+            assert isinstance(lam, Fraction) and lam == ref, (depth, sorted(region))
+        else:
+            assert abs(lam - ref) <= 1e-12 * abs(ref), (depth, sorted(region))
+
+
 def test_class_enumeration_matches_dense_spectrum(p1_model):
     summary = spectral.enumerate_spectrum(p1_model, 2)
     got = sorted(
