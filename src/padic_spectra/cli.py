@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -141,33 +142,47 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def cmd_heat(args):
-    _require_n(args)
-    model, _ = _build_model(args)
-    K = spectral.heat_kernel(
-        model, args.s, args.t,
-        paper_constant_term=args.paper_constant_term,
-        complement=not args.wavelet_only,
-    )
-    mu = float(model.cell_measure)
-    mass = (K * mu).sum(axis=1)
+def _kernel_payload(args, model, parts):
+    """Kernel summary payload from spectral (weights, block) parts, and the
+    rows at each top's first cell, without the n x n array: every row of a
+    top holds the same values, so these rows carry the extremes, and the
+    cross-top asymmetry lives in the tops x tops submatrix."""
+    if args.x is not None and not 0 <= args.x < model.num_cells:
+        raise ValueError(f"--x {args.x} out of range for {model.num_cells} cells")
+    firsts = np.arange(len(model.tops)) * model.cells_per_top
+    cells = firsts if args.x is None else np.append(firsts, args.x)
+    rows = spectral._kernel_rows(model, *parts, cells)
+    tops = rows[: len(firsts)]
+    sub = tops[:, firsts]
     payload = {
         "config": _config_echo(args),
         "model": model.name,
         "s": float(args.s),
-        "t": args.t,
-        "paper_constant_term": bool(args.paper_constant_term),
         "wavelet_only": bool(args.wavelet_only),
-        "mass_max_deviation": float(np.abs(mass - 1.0).max()),
-        "min_entry": float(K.min()),
-        "max_entry": float(K.max()),
-        "max_asymmetry": float(np.abs(K - K.T).max()),
-        "trace_times_mu": float(np.trace(K) * mu),
+        "min_entry": float(tops.min()),
+        "max_entry": float(tops.max()),
+        "max_asymmetry": float(np.abs(sub - sub.T).max()),
     }
     if args.x is not None:
-        if not 0 <= args.x < model.num_cells:
-            raise ValueError(f"--x {args.x} out of range for {model.num_cells} cells")
-        payload["row"] = [float(v) for v in K[args.x]]
+        payload["row"] = [float(v) for v in rows[-1]]
+    return payload, tops
+
+
+def cmd_heat(args):
+    _require_n(args)
+    model, _ = _build_model(args)
+    parts = spectral._heat_parts(
+        model, args.s, args.t, args.paper_constant_term, not args.wavelet_only
+    )
+    payload, tops = _kernel_payload(args, model, parts)
+    mu = float(model.cell_measure)
+    per = model.cells_per_top
+    mass = (tops * mu).sum(axis=1)
+    cell_diagonal = np.repeat(np.diag(tops[:, ::per]), per)  # summed as np.trace would
+    payload["t"] = args.t
+    payload["paper_constant_term"] = bool(args.paper_constant_term)
+    payload["mass_max_deviation"] = float(np.abs(mass - 1.0).max())
+    payload["trace_times_mu"] = float(cell_diagonal.sum() * mu)
     _emit(args, payload)
     return EXIT_OK
 
@@ -175,25 +190,11 @@ def cmd_heat(args):
 def cmd_green(args):
     _require_n(args)
     model, _ = _build_model(args)
-    import warnings
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        G = spectral.green_function(model, args.s, complement=not args.wavelet_only)
-    payload = {
-        "config": _config_echo(args),
-        "model": model.name,
-        "s": float(args.s),
-        "wavelet_only": bool(args.wavelet_only),
-        "min_entry": float(G.min()),
-        "max_entry": float(G.max()),
-        "max_asymmetry": float(np.abs(G - G.T).max()),
-        "warnings": [str(w.message) for w in caught],
-    }
-    if args.x is not None:
-        if not 0 <= args.x < model.num_cells:
-            raise ValueError(f"--x {args.x} out of range for {model.num_cells} cells")
-        payload["row"] = [float(v) for v in G[args.x]]
+        parts = spectral._green_parts(model, args.s, not args.wavelet_only)
+    payload, _ = _kernel_payload(args, model, parts)
+    payload["warnings"] = [str(w.message) for w in caught]
     _emit(args, payload)
     return EXIT_OK
 

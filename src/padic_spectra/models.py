@@ -426,26 +426,20 @@ class CellModel:
         Exact because every distance is an integer multiple of c^(-m).
         Guarded by a cell-count limit; dense output grows quadratically.
         """
-        n = self.num_cells
-        if n > max_cells:
-            raise ModelError(f"{n} cells exceeds the dense-matrix limit {max_cells}")
+        _require_dense(self, max_cells)
         scale = self.branching**self.level
         per = self.cells_per_top
-        same_block = scale // self.branching ** _within_top_depth(self)
-        D = np.zeros((n, n), dtype=np.int64)
         ntops = len(self.tops)
+        D = np.zeros((ntops, per, ntops, per), dtype=np.int64)
+        for a, b in itertools.permutations(range(ntops), 2):
+            v = self.cross_top_distance(a, b) * scale
+            if v.denominator != 1:
+                raise ModelError("distance not on the c^-m grid")
+            D[a, :, b, :] = int(v)
+        same_block = scale // self.branching ** _within_top_depth(self, np.arange(per))
         for a in range(ntops):
-            sl = slice(a * per, (a + 1) * per)
-            D[sl, sl] = same_block
-        for a in range(ntops):
-            for b in range(a + 1, ntops):
-                d = self.cross_top_distance(a, b)
-                v = d * scale
-                if v.denominator != 1:
-                    raise ModelError("distance not on the c^-m grid")
-                D[a * per : (a + 1) * per, b * per : (b + 1) * per] = int(v)
-                D[b * per : (b + 1) * per, a * per : (a + 1) * per] = int(v)
-        return D, Fraction(1, scale)
+            D[a, :, a, :] = same_block
+        return D.reshape(ntops * per, ntops * per), Fraction(1, scale)
 
     # -- serialization --------------------------------------------------------
 
@@ -513,17 +507,24 @@ def _census_distance(census, sa, sb, branching, chart_balls=False):
     return Fraction(best, branching)
 
 
-def _within_top_depth(model):
-    """(per x per) matrix of join depths between cells of one top."""
+def _require_dense(model, max_cells=EXACT_MATRIX_CELL_LIMIT):
+    """Raise ModelError before a cells x cells array would be allocated."""
+    if model.num_cells > max_cells:
+        raise ModelError(f"{model.num_cells} cells exceeds the dense-matrix limit {max_cells}")
+
+
+def _within_top_depth(model, rows):
+    """Join depths between cells of one top: the cells at local indices
+    `rows` against every cell of the top, shape (len(rows), c^(m-1))."""
     c = model.branching
     m = model.level
-    per = model.cells_per_top
-    u = np.arange(per)
-    depth = np.ones((per, per), dtype=np.int64)
-    agree = np.ones((per, per), dtype=bool)
+    r = np.asarray(rows)
+    u = np.arange(model.cells_per_top)
+    depth = np.ones((r.size, u.size), dtype=np.int64)
+    agree = np.ones((r.size, u.size), dtype=bool)
     for k in range(1, m):
-        pk = u // c ** (m - 1 - k)
-        agree &= pk[:, None] == pk[None, :]
+        width = c ** (m - 1 - k)
+        agree &= (r // width)[:, None] == (u // width)[None, :]
         depth += agree
     return depth
 

@@ -20,9 +20,10 @@ Its spectrum splits into two honest pieces:
   eigenvalue, so `lambda_min_wavelet` is a statement about the wavelet
   block only (that is the quantity the hearing results invert).
 
-Heat kernels, Green functions and semigroup action ride on this
-decomposition rather than on dense diagonalization, with the dense
-matrix kept around as the reference for the test suite.
+The class eigenvalues and the reduced block are the only description of
+the generator: heat and Green kernel rows, semigroup action and the jump
+sampler all read them.  The dense matrix (`assemble_operator`) is kept as
+the reference for the test suite, and dense kernels refuse large models.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .fields import additive_character_table
-from .models import EXACT_MATRIX_CELL_LIMIT, ModelError, _within_top_depth
+from .models import EXACT_MATRIX_CELL_LIMIT, ModelError, _require_dense, _within_top_depth
 
 __all__ = [
     "assemble_operator",
@@ -70,32 +71,16 @@ def assemble_operator(model, s, exact=False, max_cells=EXACT_MATRIX_CELL_LIMIT):
     Float64 by default; with exact=True (integer s only) the entries are
     Fractions in an object array, exact at every step.
     """
+    if exact and not _is_integral(s):
+        raise ValueError("exact assembly needs an integer exponent s")
     D, unit = model.distance_matrix(max_cells=max_cells)
-    n = D.shape[0]
     mu = model.cell_measure
     if exact:
-        if not _is_integral(s):
-            raise ValueError("exact assembly needs an integer exponent s")
-        s = int(s)
-        scale = unit.denominator
-        L = np.empty((n, n), dtype=object)
-        rates = {}
-        for value in np.unique(D):
-            rates[value] = Fraction(scale, int(value)) ** s * mu
-        for i in range(n):
-            row = D[i]
-            acc = Fraction(0)
-            for j in range(n):
-                if i == j:
-                    continue
-                w = rates[row[j]]
-                L[i, j] = -w
-                acc += w
-            L[i, i] = acc
-        return L
-    dist = D.astype(np.float64) * float(unit)
-    W = dist ** (-float(s)) * float(mu)
-    np.fill_diagonal(W, 0.0)
+        rates = {v: Fraction(unit.denominator, int(v)) ** int(s) * mu for v in np.unique(D)}
+        W = np.vectorize(rates.__getitem__, otypes=[object])(D)
+    else:
+        W = (D.astype(np.float64) * float(unit)) ** (-float(s)) * float(mu)
+    np.fill_diagonal(W, 0)
     L = -W
     np.fill_diagonal(L, W.sum(axis=1))
     return L
@@ -104,29 +89,17 @@ def assemble_operator(model, s, exact=False, max_cells=EXACT_MATRIX_CELL_LIMIT):
 def reduced_operator(model, s, exact=False):
     """Top-level operator on fiber indicators: the action of L on functions
     constant on top balls, an invariant block because cross-top distances
-    are constant on pairs of tops."""
+    are constant on pairs of tops.  Its off-diagonal entries are the jump
+    rates -Q[T, T'] = d_g(T, T')^(-s) / c from a cell of T into T'."""
+    if exact and not _is_integral(s):
+        raise ValueError("exact assembly needs an integer exponent s")
     ntops = len(model.tops)
-    mu_top = Fraction(1, model.branching)
-    if exact:
-        if not _is_integral(s):
-            raise ValueError("exact assembly needs an integer exponent s")
-        Q = np.zeros((ntops, ntops), dtype=object)
-        for i in range(ntops):
-            acc = Fraction(0)
-            for j in range(ntops):
-                if i == j:
-                    continue
-                w = model.cross_top_distance(i, j) ** -int(s) * mu_top
-                Q[i, j] = -w
-                acc += w
-            Q[i, i] = acc
-        return Q
-    Q = np.zeros((ntops, ntops), dtype=np.float64)
+    mu_top = Fraction(1, model.branching) if exact else float(Fraction(1, model.branching))
+    Q = np.zeros((ntops, ntops), dtype=object if exact else np.float64)
     for i in range(ntops):
         for j in range(ntops):
             if i != j:
-                d = float(model.cross_top_distance(i, j))
-                Q[i, j] = -(d ** -float(s)) * float(mu_top)
+                Q[i, j] = -_power(model.cross_top_distance(i, j), -s, exact) * mu_top
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return Q
 
@@ -175,21 +148,11 @@ def wavelet_eigenvalue_numeric(model, ball, s, exact=None, base_cell=None):
     x = lo if base_cell is None else base_cell
     if not lo <= x < hi:
         raise ValueError("base cell lies outside the ball")
-    mu = model.cell_measure
-    if exact:
-        s = int(s)
-        total = ball.measure ** (1 - s)
-        for y in range(model.num_cells):
-            if lo <= y < hi:
-                continue
-            total += model.geodesic_distance(x, y) ** -s * mu
-        return total
-    sf = float(s)
-    total = float(ball.measure) ** (1.0 - sf)
+    mu = model.cell_measure if exact else float(model.cell_measure)
+    total = _power(ball.measure, 1 - s, exact)
     for y in range(model.num_cells):
-        if lo <= y < hi:
-            continue
-        total += float(model.geodesic_distance(x, y)) ** -sf * float(mu)
+        if not lo <= y < hi:
+            total += _power(model.geodesic_distance(x, y), -s, exact) * mu
     return total
 
 
@@ -225,10 +188,17 @@ def _ball_eigenvalue(depth, kappa, c, s, exact):
     its top, and the cross-top part.
     """
     value = _power(c, depth * (s - 1), exact)
-    shell = Fraction(c - 1, c) if exact else (c - 1) / c
     for j in range(1, depth):
-        value += shell * _power(c, j * (s - 1), exact)
+        value += _shell_rate(j, c, s, exact)
     return value + kappa
+
+
+def _shell_rate(j, c, s, exact):
+    """(1 - 1/c) c^(j(s-1)): the jump rate from a cell into the shell at
+    join depth j, the cells of its depth-j ball outside its depth-(j+1)
+    ball, each at distance c^(-j)."""
+    shell = Fraction(c - 1, c) if exact else (c - 1) / c
+    return shell * _power(c, j * (s - 1), exact)
 
 
 def class_eigenvalues(model, s, exact=None):
@@ -366,33 +336,66 @@ def enumerate_spectrum(model, s, exact=None):
 # -- kernels ------------------------------------------------------------------
 
 
-def _synthesis_kernel(model, weights_by_class, block_coefficients):
-    """Kernel sum_psi w(class) psi(x) psi(y)* + block part, assembled from
-    per-class weights and a tops x tops coefficient matrix.
+def _kernel_rows(model, weights_by_class, block, cells):
+    """Rows at the cells (int array) of the kernel sum_psi w(class) psi(x) psi(y)*
+    + c block[T(x), T(y)], from per-class weights and a block on top means.
 
     Character orthogonality collapses each ball's wavelet sum to
     mu(B)^(-1) (c [same child] - 1), so within a top the wavelet part is
-    a function of the join depth alone, one matrix per region.
+    a function of the join depth alone, one profile over the depths
+    1..m per region.
     """
     c = model.branching
     m = model.level
     per = model.cells_per_top
-    depth = _within_top_depth(model)
-    region_block = {}
-    for region in {t.region for t in model.tops}:
-        W = np.zeros((per, per), dtype=np.float64)
+    profile = {}
+    for region in model._census:
+        W = np.zeros(m + 1)
         for delta in range(1, m):
-            w = weights_by_class[(delta, region)]
-            coef = np.where(
-                delta < depth, float(c - 1), np.where(delta == depth, -1.0, 0.0)
-            )
-            W += float(w) * float(c) ** delta * coef
-        region_block[region] = W
-    K = np.repeat(np.repeat(block_coefficients, per, axis=0), per, axis=1)
-    for i, top in enumerate(model.tops):
-        sl = slice(i * per, (i + 1) * per)
-        K[sl, sl] += region_block[top.region]
-    return K
+            term = float(weights_by_class[(delta, region)]) * float(c) ** delta
+            W[delta] -= term
+            W[delta + 1 :] += term * (c - 1)
+        profile[region] = W
+    by_top = np.array([profile[top.region] for top in model.tops])
+    tops = cells // per
+    rows = np.repeat(block[tops] * float(c), per, axis=1)
+    blocks = rows.reshape(len(cells), len(model.tops), per)  # a view of rows
+    depth = _within_top_depth(model, cells % per)
+    blocks[np.arange(len(cells)), tops] += by_top[tops[:, None], depth]
+    return rows
+
+
+def _heat_parts(model, s, t, paper_constant_term=False, complement=True):
+    """The two halves of exp(-tL): exp(-t lambda) per wavelet class, and
+    its block on top means, exp(-t L_red) (complement=False: the flat
+    1/#tops of its constant mode; paper_constant_term: the bare 1/c)."""
+    if t < 0:
+        raise ValueError("negative time")
+    lams = class_eigenvalues(model, s, exact=False)
+    weights = {k: math.exp(-t * v) for k, v in lams.items()}
+    ntops = len(model.tops)
+    if paper_constant_term:
+        return weights, np.full((ntops, ntops), 1.0 / model.branching)
+    if not complement:
+        return weights, np.full((ntops, ntops), 1.0 / ntops)
+    return weights, scipy.linalg.expm(-t * reduced_operator(model, s))
+
+
+def _green_parts(model, s, complement=True):
+    """1/lambda per wavelet class and the pseudo-inverse of L_red on top
+    means (zero with complement=False); warns for s <= 1."""
+    if float(s) <= 1:
+        warnings.warn(
+            "Green function for s <= 1: finite-level values only, the"
+            " deepening limit diverges",
+            stacklevel=3,
+        )
+    lams = class_eigenvalues(model, s, exact=False)
+    weights = {k: 1.0 / float(v) for k, v in lams.items()}
+    ntops = len(model.tops)
+    if not complement:
+        return weights, np.zeros((ntops, ntops))
+    return weights, np.linalg.pinv(reduced_operator(model, s))
 
 
 def heat_kernel(model, s, t, paper_constant_term=False, complement=True):
@@ -406,47 +409,27 @@ def heat_kernel(model, s, t, paper_constant_term=False, complement=True):
     (constant + wavelet synthesis: still unit mass, but no cross-fiber
     mixing).  paper_constant_term=True instead takes the bare constant 1
     of the un-normalized closed form, which has no complement term
-    either; rows then integrate to mu(X), not 1.
+    either; rows then integrate to mu(X), not 1.  Models above the
+    dense-matrix cell limit raise ModelError.
     """
-    if t < 0:
-        raise ValueError("negative time")
-    lams = class_eigenvalues(model, s, exact=False)
-    weights = {k: math.exp(-t * v) for k, v in lams.items()}
-    ntops = len(model.tops)
-    if paper_constant_term:
-        block = np.ones((ntops, ntops))
-    elif not complement:
-        block = np.full((ntops, ntops), float(model.branching) / ntops)
-    else:
-        Q = reduced_operator(model, s)
-        block = scipy.linalg.expm(-t * Q) * float(model.branching)
-    return _synthesis_kernel(model, weights, block)
+    _require_dense(model)
+    weights, block = _heat_parts(model, s, t, paper_constant_term, complement)
+    return _kernel_rows(model, weights, block, np.arange(model.num_cells))
 
 
 def green_function(model, s, complement=True):
-    """Green kernel G(x, y): the kernel of the pseudo-inverse of L.
+    """Dense Green kernel G(x, y): the kernel of the pseudo-inverse of L.
 
     G L = L G = I - P_0 with P_0 the projection onto constants (the
     default).  complement=False keeps the wavelet sum alone; cross-fiber
     values are then identically zero and the inversion holds only on the
     wavelet span.  For s <= 1 the finite-level values are fine but grow
     with the level (the continuum object diverges); a warning says so.
+    Models above the dense-matrix cell limit raise ModelError.
     """
-    if float(s) <= 1:
-        warnings.warn(
-            "Green function for s <= 1: finite-level values only, the"
-            " deepening limit diverges",
-            stacklevel=2,
-        )
-    lams = class_eigenvalues(model, s, exact=False)
-    weights = {k: 1.0 / float(v) for k, v in lams.items()}
-    ntops = len(model.tops)
-    if complement:
-        Q = reduced_operator(model, s)
-        block = np.linalg.pinv(Q) * float(model.branching)
-    else:
-        block = np.zeros((ntops, ntops))
-    return _synthesis_kernel(model, weights, block)
+    _require_dense(model)
+    weights, block = _green_parts(model, s, complement)
+    return _kernel_rows(model, weights, block, np.arange(model.num_cells))
 
 
 def _invert_fraction_matrix(M):
@@ -502,22 +485,15 @@ def semigroup_apply(model, s, t, values, complement=True):
     m = model.level
     per = model.cells_per_top
     ntops = len(model.tops)
-    lams = class_eigenvalues(model, s, exact=False)
-    means = v.reshape(ntops, per).mean(axis=1)
-    if complement:
-        Q = reduced_operator(model, s)
-        out = np.repeat(scipy.linalg.expm(-t * Q) @ means, per)
-    else:
-        out = np.full(n, means.mean())
+    weights, block = _heat_parts(model, s, t, complement=complement)
+    out = np.repeat(block @ v.reshape(ntops, per).mean(axis=1), per)
     averages = {m: v}
     for depth in range(m - 1, 0, -1):
         width = c ** (m - depth)
         averages[depth] = v.reshape(-1, width).mean(axis=1).repeat(width)
     for delta in range(1, m):
         detail = averages[delta + 1] - averages[delta]
-        decay = np.repeat(
-            [math.exp(-t * lams[(delta, top.region)]) for top in model.tops], per
-        )
+        decay = np.repeat([weights[(delta, top.region)] for top in model.tops], per)
         out = out + decay * detail
     return out
 
@@ -573,26 +549,40 @@ class SimulationResult:
 
 
 def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
-                 max_cells=EXACT_MATRIX_CELL_LIMIT, _rate_cap_steps=2_000_000):
+                 _rate_cap_steps=2_000_000):
     """Sample the jump process with generator -L on the cells.
 
     From cell x the process waits Exp(rate(x)) with rate(x) the diagonal
     of L, then jumps to y with probability proportional to d(x,y)^(-s)
-    mu(y).  Paths start from `start` (cell index) or, by default, from
-    the uniform law, which is stationary.  Fully deterministic given the
-    seed.  The first few trajectories are kept as (time, cell) lists;
-    the untruncated first holding time of every path is kept for rate
-    checks against the generator diagonal.
+    mu(y).  That law is isotropic on the ball tree: each jump draws an
+    annulus by its total rate from a per-top table (the shell at join
+    depth j inside x's top, rate (1 - 1/c) c^(j(s-1)), or another top T',
+    rate -Q[T, T'] of the reduced operator), then a uniform cell in it,
+    for all paths at once, with no cells x cells array and no cell limit.
+    Paths start from `start` (a cell) or, by default, from the uniform
+    law, which is stationary.  Fully deterministic given the seed.  The
+    first few trajectories are kept as (time, cell) lists; the untruncated
+    first holding time of every path is kept for rate checks against the
+    generator diagonal.
     """
     if seed is None:
         raise ValueError("a seed is required; sampling must be reproducible")
-    D, unit = model.distance_matrix(max_cells=max_cells)
-    dist = D.astype(np.float64) * float(unit)
-    W = dist ** (-float(s)) * float(model.cell_measure)
-    np.fill_diagonal(W, 0.0)
-    rates = W.sum(axis=1)
-    cum = np.cumsum(W, axis=1)
-    cum /= cum[:, -1][:, None]
+    c = model.branching
+    m = model.level
+    per = model.cells_per_top
+    ntops = len(model.tops)
+    # jump rates per top: the m - 1 shells inside it, then every top (itself 0)
+    shells = [_shell_rate(j, c, s, False) for j in range(1, m)]
+    table = np.hstack([np.tile(shells, (ntops, 1)), -reduced_operator(model, s)])
+    np.fill_diagonal(table[:, m - 1 :], 0.0)
+    cum = np.cumsum(table, axis=1)
+    rates = cum[:, -1]
+    width = table.shape[1]
+    # the per-top rows laid end to end, row i shifted into [i, i + 1]
+    flat = (cum / rates[:, None] + np.arange(ntops)[:, None]).ravel()
+    last = width - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+    child_width = np.array([c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
+    sizes = np.array([(c - 1) * c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
     n = model.num_cells
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if start is None:
@@ -610,7 +600,7 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     total_steps = 0
     while alive.any():
         idx = np.nonzero(alive)[0]
-        waits = rng.exponential(1.0 / rates[states[idx]])
+        waits = rng.exponential(1.0 / rates[states[idx] // per])
         if first_holding is None:
             first_holding = waits.copy()
         landed = clocks[idx] + waits
@@ -619,11 +609,19 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
         alive[idx[done]] = False
         movers = idx[~done]
         if movers.size:
-            draws = rng.random(movers.size)
-            nxt = np.empty(movers.size, dtype=np.int64)
-            for k, (cell, u) in enumerate(zip(states[movers], draws)):
-                nxt[k] = np.searchsorted(cum[cell], u, side="right")
-            states[movers] = nxt
+            cells = states[movers]
+            top = cells // per
+            # u + top can round up to top + 1: clamp to the row's last nonzero rate
+            hit = np.searchsorted(flat, rng.random(movers.size) + top, side="right")
+            hit = np.minimum(hit - top * width, last[top])
+            r = rng.integers(0, sizes[hit])
+            # shell: another child of x's depth-j ball; else: a cell of top T'
+            local = cells % per
+            cw = child_width[hit]
+            child = r // cw
+            child += child >= local // cw % c
+            inside = cells - local % (cw * c) + child * cw + r % cw
+            states[movers] = np.where(hit < m - 1, inside, (hit - (m - 1)) * per + r)
             jumps[movers] += 1
             for k in movers[movers < store]:
                 trajectories[k].append((float(clocks[k]), int(states[k])))

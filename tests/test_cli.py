@@ -1,10 +1,12 @@
 """End-to-end command line tests, run in process through cli.main."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 
-from padic_spectra import cli
+from padic_spectra import builtin_models, cli, spectral
 from padic_spectra.elliptic import NoMatchError
 from padic_spectra.polymaps import PolynomialMap, polymap_to_json_dict
 
@@ -93,6 +95,91 @@ def test_heat_summary_and_row(capsys):
     )
     assert doc["mass_max_deviation"] < 1e-12
     assert doc["row"][0] == pytest.approx(3.0304346042147023, abs=1e-9)
+
+
+BUILTIN_ARGV = {
+    "P1(5) level 3": ["--model", "projective", "--n", "1", "--p", "5", "--level", "3"],
+    "P2(5) level 2": ["--model", "projective", "--n", "2", "--p", "5", "--level", "2"],
+    "Y2(5) level 2": ["--model", "Y", "--n", "2", "--p", "5", "--level", "2"],
+    "E/F_13 level 2": ["--model", "elliptic", "--p", "13", "--a4", "-1", "--a6", "0"],
+    "E/F_13 level 3": ["--model", "elliptic", "--p", "13", "--a4", "-1", "--a6", "0",
+                       "--level", "3"],
+    "E/F_17 level 2": ["--model", "elliptic", "--p", "17", "--a4", "-1", "--a6", "0"],
+}
+
+KERNEL_VARIANTS = [
+    ("heat", ["--s", "2"], {}),
+    ("heat", ["--s", "1"], {}),
+    ("heat", ["--s", "2", "--wavelet-only"], {"complement": False}),
+    ("heat", ["--s", "2", "--paper-constant-term"], {"paper_constant_term": True}),
+    ("green", ["--s", "2"], {}),
+    ("green", ["--s", "1"], {}),
+    ("green", ["--s", "2", "--wavelet-only"], {"complement": False}),
+    ("green", ["--s", "1", "--wavelet-only"], {"complement": False}),
+]
+
+
+@pytest.fixture(scope="module")
+def builtin():
+    return dict(builtin_models())
+
+
+def test_kernel_summary_cases_cover_every_builtin_model(builtin):
+    assert list(builtin) == list(BUILTIN_ARGV)
+
+
+@pytest.mark.parametrize("label", sorted(BUILTIN_ARGV))
+@pytest.mark.parametrize(
+    "command, flags, kwargs", KERNEL_VARIANTS,
+    ids=[" ".join([cmd, *flags]) for cmd, flags, _ in KERNEL_VARIANTS],
+)
+def test_kernel_summary_matches_dense_kernel(capsys, builtin, label, command, flags, kwargs):
+    model = builtin[label]
+    x = model.num_cells // 2 + 1
+    argv = [command, *BUILTIN_ARGV[label], *flags, "--x", str(x)]
+    s = int(flags[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if command == "heat":
+            K = spectral.heat_kernel(model, s, 0.3, **kwargs)
+            doc = run_json(capsys, *argv, "--t", "0.3")
+        else:
+            K = spectral.green_function(model, s, **kwargs)
+            doc = run_json(capsys, *argv)
+    assert doc["row"] == [float(v) for v in K[x]]
+    assert doc["min_entry"] == float(K.min())
+    assert doc["max_entry"] == float(K.max())
+    assert doc["max_asymmetry"] == float(np.abs(K - K.T).max())
+    if command == "heat":
+        mu = float(model.cell_measure)
+        mass = float(np.abs((K * mu).sum(axis=1) - 1.0).max())
+        assert doc["mass_max_deviation"] == pytest.approx(mass, abs=1e-12)
+        assert doc["trace_times_mu"] == pytest.approx(float(np.trace(K) * mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["heat", "green", "simulate"])
+def test_kernels_and_sampler_past_the_dense_limit(capsys, command):
+    # P2(5) at level 3: 19375 cells, far past the 1500-cell dense limit
+    argv = [command, "--model", "projective", "--n", "2", "--p", "5", "--level", "3"]
+    extra = {
+        "heat": ["--t", "0.05", "--x", "7"],
+        "green": ["--x", "7"],
+        "simulate": ["--t", "0.005", "--paths", "2000", "--seed", "3", "--start", "7"],
+    }[command]
+    doc = run_json(capsys, *argv, *extra)
+    numbers = [v for v in doc.values() if isinstance(v, float)]
+    if command == "simulate":
+        law = np.array(doc["empirical_law"])
+        assert len(law) == 19375
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        numbers += [doc["jumps"]["mean"], doc["first_holding_mean"]]
+    else:
+        assert len(doc["row"]) == 19375
+        numbers += doc["row"]
+    assert np.isfinite(numbers).all()
+    if command == "heat":
+        assert doc["mass_max_deviation"] < 1e-9
+        assert sum(doc["row"]) / 25**3 == pytest.approx(1.0, abs=1e-9)  # mu = c^-m
 
 
 def test_heat_wavelet_only_flag(capsys):

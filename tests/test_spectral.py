@@ -401,6 +401,125 @@ def test_sample_paths_at_time_zero_is_point_mass(e13_model):
     assert r.empirical_law.sum() == 1.0
 
 
+def _first_jump_bins(model, x):
+    """Cells of x's top one by one, cells of the other tops by depth-2 ball."""
+    cells = np.arange(model.num_cells)
+    same_top = cells // model.cells_per_top == x // model.cells_per_top
+    ball = model.num_cells + cells // model.branching ** (model.level - 2)
+    return np.unique(np.where(same_top, cells, ball), return_inverse=True)[1]
+
+
+@pytest.mark.parametrize(
+    "build, x",
+    [
+        # chart balls: cross-top distances differ with the shared chart
+        (lambda: build_projective_model(5, 1, 3)[0], 4 * 25 + 3 * 5 + 2),
+        (lambda: build_elliptic_model(CurveSpec(13, -1, 0), 3), 2 * 169 + 5 * 13 + 7),
+    ],
+    ids=["P1(5) m3", "E13 m3"],
+)
+def test_first_jump_law_matches_operator_row(build, x):
+    # every path's first target against -L[x, .] / L[x, x]: Pearson chi^2
+    # over the cells of x's top (both shell depths, every child) and the
+    # depth-2 balls of the other tops (every cross-top move)
+    model = build()
+    L = spectral.assemble_operator(model, 2)
+    law = -L[x] / L[x, x]
+    law[x] = 0.0
+    n_paths = 100_000
+    r = spectral.sample_paths(
+        model, 2, 3.0 / L[x, x], n_paths, seed=8, start=x, max_store=n_paths
+    )
+    first = np.array([path[1][1] for path in r.trajectories if len(path) > 1])
+    assert len(first) > 0.9 * n_paths
+    bins = _first_jump_bins(model, x)
+    observed = np.bincount(bins[first], minlength=bins.max() + 1)
+    expected = np.bincount(bins, weights=law) * len(first)
+    assert observed[expected == 0].sum() == 0  # never x itself
+    hit = expected > 0
+    chi2 = float(((observed[hit] - expected[hit]) ** 2 / expected[hit]).sum())
+    df = int(hit.sum()) - 1
+    assert chi2 < df + 5 * np.sqrt(2 * df), (chi2, df)
+
+
+def test_jump_rates_match_operator_annuli():
+    # the sampler's per-top rate table: each shell of a cell's top and each
+    # other top carries the total dense rate of its cells
+    for label, model in builtin_models():
+        L = spectral.assemble_operator(model, 2)
+        Q = spectral.reduced_operator(model, 2)
+        c, m, per = model.branching, model.level, model.cells_per_top
+        for top in range(len(model.tops)):
+            x = top * per
+            row = -L[x].reshape(len(model.tops), per)
+            for j in range(1, m):
+                shell = row[top, c ** (m - 1 - j) : c ** (m - j)].sum()
+                assert shell == pytest.approx(spectral._shell_rate(j, c, 2, False), rel=1e-12)
+            others = np.delete(row.sum(axis=1), top)
+            assert np.allclose(others, np.delete(-Q[top], top), rtol=1e-12, atol=0), label
+
+
+def test_sampled_paths_match_heat_law_at_level_three():
+    # 10^5 paths on E13 at m = 3 (about 8.5e5 jumps, under the cap)
+    model = build_elliptic_model(CurveSpec(13, -1, 0), 3)
+    t = 0.05
+    result = spectral.sample_paths(model, 2, t, 100_000, seed=20240517, start=0)
+    assert result.jump_counts.sum() < 2_000_000
+    law = spectral.heat_kernel(model, 2, t)[0] * float(model.cell_measure)
+    width = model.branching ** (model.level - 2)
+    balls = [v.reshape(-1, width).sum(axis=1) for v in (result.empirical_law, law)]
+    tv = 0.5 * float(np.abs(balls[0] - balls[1]).sum())
+    assert tv < 0.02, tv
+    rate = float(spectral.assemble_operator(model, 2)[0, 0])
+    hold = result.first_holding
+    se = float(hold.std(ddof=1)) / np.sqrt(len(hold))
+    assert abs(float(hold.mean()) - 1.0 / rate) < 3 * se
+
+
+def test_sampler_runs_past_the_dense_limit():
+    model, _, _ = build_projective_model(5, 2, 3)
+    assert model.num_cells == 19375
+    result = spectral.sample_paths(model, 2, 0.005, 20_000, seed=5, start=0)
+    assert result.empirical_law.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.isfinite(result.first_holding).all()
+    # closed-form diagonal: both shells of the top plus its cross-top rates
+    c = model.branching
+    rate = sum((1 - 1 / c) * c ** j for j in (1, 2))
+    rate += float(spectral.reduced_operator(model, 2)[0, 0])
+    hold = result.first_holding
+    se = float(hold.std(ddof=1)) / np.sqrt(len(hold))
+    assert abs(float(hold.mean()) - 1.0 / rate) < 3 * se
+
+
+def test_dense_kernels_refuse_past_the_cell_limit():
+    model, _, _ = build_projective_model(5, 1, 5)
+    assert model.num_cells == 3750
+    with pytest.raises(ModelError):
+        spectral.heat_kernel(model, 2, 0.5)
+    with pytest.raises(ModelError):
+        spectral.green_function(model, 2)
+
+
+def test_reduced_operator_float_entries_match_distance_formula():
+    # the float block is d^(-s) * (1/c) entry by entry, the diagonal the
+    # negated row sum: bit for bit, and within rounding of the exact block
+    for label, model in builtin_models():
+        ntops = len(model.tops)
+        for s in (1.5, 2, 3):
+            ref = np.zeros((ntops, ntops))
+            for i in range(ntops):
+                for j in range(ntops):
+                    if i != j:
+                        d = float(model.cross_top_distance(i, j))
+                        ref[i, j] = -(d ** -float(s)) * float(Fraction(1, model.branching))
+            np.fill_diagonal(ref, -ref.sum(axis=1))
+            Q = spectral.reduced_operator(model, s)
+            assert np.array_equal(Q, ref), (label, s)
+            if s != 1.5:
+                exact = spectral.reduced_operator(model, s, exact=True)
+                assert np.allclose(exact.astype(float), Q, rtol=1e-14, atol=0), (label, s)
+
+
 # -- structural invariants ---------------------------------------------------------
 
 
