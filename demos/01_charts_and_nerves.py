@@ -14,7 +14,6 @@ from padic_spectra import (
     build_elliptic_model,
     build_projective_model,
     build_Y_model,
-    geodesic_distance,
     verify_ball_transition_consistency,
 )
 
@@ -61,9 +60,9 @@ for region, count in sorted(regions.items(), key=lambda kv: sorted(kv[0])):
 # Distances.  Within a fiber the distance is the measure of the smallest
 # ball containing both cells; across fibers it runs along the nerve.
 print()
-print("d(cell 0, cell 1)  =", geodesic_distance(e_model, 0, 1), " (same fiber)")
-print("d(cell 0, cell 13) =", geodesic_distance(e_model, 0, 13), " (next fiber)")
-print("d(cell 0, cell 0)  =", geodesic_distance(e_model, 0, 0),
+print("d(cell 0, cell 1)  =", e_model.geodesic_distance(0, 1), " (same fiber)")
+print("d(cell 0, cell 13) =", e_model.geodesic_distance(0, 13), " (next fiber)")
+print("d(cell 0, cell 0)  =", e_model.geodesic_distance(0, 0),
       " (a cell's own measure: the join of a cell with itself is the cell)")
 
 # Sanity: ball prefixes agree with the transition maps on every chart overlap.

@@ -39,8 +39,6 @@ from .models import (
     TopBall,
     build_Y_model,
     build_projective_model,
-    geodesic_distance,
-    join,
     model_to_json,
     verify_ball_transition_consistency,
 )

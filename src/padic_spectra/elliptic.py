@@ -10,6 +10,10 @@ Top balls carry a reduction-type label:
   only in chart 1 (the chart avoiding the infinity fiber);
 * ``b``: all other fibers, lying in both charts.
 
+One sweep of F_q per curve, kept on the ``CurveSpec``, finds the affine
+points; the point count, the Serre invariant, the branch-point test and
+the model's top balls all read it.
+
 This region structure produces the two-vertex nerve with weights
 (N-3)/q, (N-1)/q and edge (N-4)/q, where N is the point count, and the
 generic path metric then reproduces the curve's distance case table:
@@ -34,12 +38,12 @@ diagnostics, never used for the inversion itself.
 
 from __future__ import annotations
 
-import functools
+import array
 import math
 from fractions import Fraction
 
 from .fields import FiniteField, FqElement
-from .models import CellModel, _census_distance
+from .models import CellModel, TopBall, _census_distance
 from .spectral import _ball_eigenvalue, _is_integral, _kappa, _power
 
 __all__ = [
@@ -91,7 +95,7 @@ class CurveSpec:
     FqElement.  Nonsingularity 4A^3 + 27B^2 != 0 is enforced.
     """
 
-    __slots__ = ("p", "f", "field", "A", "B")
+    __slots__ = ("p", "f", "field", "A", "B", "_points")
 
     def __init__(self, p, a4, a6, f=1):
         if p in (2, 3):
@@ -107,6 +111,7 @@ class CurveSpec:
         )
         if not disc:
             raise ValueError("singular curve: 4A^3 + 27B^2 = 0")
+        self._points = None
 
     def _const(self, n):
         """Integer constant, embedded through the prime subfield."""
@@ -142,20 +147,37 @@ class CurveSpec:
         return f"CurveSpec(p={self.p}, f={self.f}, A={self.A.code}, B={self.B.code})"
 
 
+def _affine_points(curve):
+    """The affine F_q-points as sorted (x, y) codes, flat: x0, y0, x1, ...
+
+    One sweep of F_q, run at most once per curve and kept on it: a table of
+    square roots, then rhs once per x.
+    """
+    if curve._points is None:
+        field = curve.field
+        # two slots per square code for its roots in ascending order; -1 where
+        # there is none (non-squares, and the second slot of 0)
+        roots = array.array("q", [-1]) * (2 * field.q)
+        for y in field.elements():
+            k = 2 * (y * y).code
+            roots[k + (roots[k] >= 0)] = y.code
+        points = array.array("q")
+        for x in field.elements():
+            k = 2 * curve.rhs(x).code
+            for y in (roots[k], roots[k + 1]):
+                if y >= 0:
+                    points.extend((x.code, y))
+        curve._points = points
+    return curve._points
+
+
 def count_points_bruteforce(curve):
     """N = 1 + #{(x, y) in F_q^2 : y^2 = x^3 + Ax + B}, by exhaustion.
 
-    The point at infinity contributes the leading 1.  Runs in O(q) field
-    operations using a table of square counts.
+    The point at infinity contributes the leading 1.  Reads the curve's one
+    sweep of F_q: O(q) field operations the first time, free after.
     """
-    field = curve.field
-    square_count = {}
-    for y in field.elements():
-        code = (y * y).code
-        square_count[code] = square_count.get(code, 0) + 1
-    return 1 + sum(
-        square_count.get(curve.rhs(field(x)).code, 0) for x in range(field.q)
-    )
+    return 1 + len(_affine_points(curve)) // 2
 
 
 def serre_invariant(curve):
@@ -167,10 +189,9 @@ def branch_points_rational(curve):
     """Whether x^3 + Ax + B splits into linear factors over F_q.
 
     Nonsingularity makes the roots distinct, so splitting is equivalent to
-    finding three roots by exhaustion.
+    three points with y = 0 in the curve's one sweep of F_q.
     """
-    roots = sum(1 for x in curve.field.elements() if not curve.rhs(x))
-    return roots == 3
+    return _affine_points(curve)[1::2].count(0) == 3
 
 
 class EllipticModel(CellModel):
@@ -196,10 +217,6 @@ class EllipticModel(CellModel):
     @property
     def q(self):
         return self.curve.q
-
-    @property
-    def mu1(self):
-        return Fraction(self.N - 3, self.q)
 
     def measures(self):
         """The chart measure identities, all exact."""
@@ -238,25 +255,13 @@ def build_elliptic_model(curve, level):
             "the cubic does not split over F_q; the fiber census needs"
             " rational branch points"
         )
-    from .models import TopBall
-
     tops = [TopBall(0, REGION_CHARTS["a"], "a", data=("a", "inf"))]
-    affine = []
-    field = curve.field
-    for x in field.elements():
-        rhs = curve.rhs(x)
-        for y in field.elements():
-            if y * y == rhs:
-                affine.append((x.code, y.code, not rhs))
-    affine.sort(key=lambda t: (t[0], t[1]))
-    for xc, yc, is_branch in affine:
-        label = "c" if is_branch else "b"
+    points = _affine_points(curve)
+    for xc, yc in zip(points[::2], points[1::2]):
+        label = "b" if yc else "c"
         tops.append(
             TopBall(len(tops), REGION_CHARTS[label], label, data=(label, [xc, yc]))
         )
-    census = {lab: sum(1 for t in tops if t.label == lab) for lab in REGIONS}
-    if census["a"] != 1 or census["c"] != 3:
-        raise HypothesisError(f"unexpected fiber census {census}")
     return EllipticModel(curve, level, tops, _elliptic_rep)
 
 
@@ -289,13 +294,10 @@ def kappa_term(region, s, N, q):
         raise HypothesisError("need at least 6 points for the fiber census terms")
     if region not in REGION_CHARTS:
         raise ValueError(f"unknown region {region!r}")
-    census = {
-        REGION_CHARTS["a"]: 1,
-        REGION_CHARTS["b"]: N - 4,
-        REGION_CHARTS["c"]: 3,
-    }
-    distance = functools.partial(_census_distance, census, branching=q)
-    return _kappa(census, distance, REGION_CHARTS[region], q, s, _is_integral(s))
+    counts = (1, N - 4, 3)
+    census = dict(zip(REGION_CHARTS.values(), counts))
+    row = [_census_distance(census, REGION_CHARTS[region], other, q) for other in census]
+    return _kappa(counts, row, REGIONS.index(region), q, s, _is_integral(s))
 
 
 def closed_form_eigenvalue(mu_B, region, s, N, q):
@@ -350,6 +352,16 @@ def published_eigenvalue(mu_B, region, s, N, q):
     )
 
 
+def _class_values(N, q, s, level):
+    """Closed-form eigenvalue of every (ball level, region) class, levels
+    1 .. level - 1, keyed (level, region) in that order."""
+    return {
+        (ell, region): closed_form_eigenvalue(Fraction(1, q**ell), region, s, N, q)
+        for ell in range(1, level)
+        for region in REGIONS
+    }
+
+
 def closed_form_discrepancies(N, q, s, level=2):
     """Where the printed form deviates from the corrected one, per class.
 
@@ -357,22 +369,20 @@ def closed_form_discrepancies(N, q, s, level=2):
     empty only if the printed constants happen to agree at this s.
     """
     out = []
-    for ell in range(1, level):
+    for (ell, region), corrected in _class_values(N, q, s, level).items():
         mu_B = Fraction(1, q**ell)
-        for region in REGIONS:
-            corrected = closed_form_eigenvalue(mu_B, region, s, N, q)
-            published = published_eigenvalue(mu_B, region, s, N, q)
-            delta = published - corrected
-            if delta:
-                out.append(
-                    {
-                        "mu_B": mu_B,
-                        "region": region,
-                        "corrected": corrected,
-                        "published": published,
-                        "delta": delta,
-                    }
-                )
+        published = published_eigenvalue(mu_B, region, s, N, q)
+        delta = published - corrected
+        if delta:
+            out.append(
+                {
+                    "mu_B": mu_B,
+                    "region": region,
+                    "corrected": corrected,
+                    "published": published,
+                    "delta": delta,
+                }
+            )
     return out
 
 
@@ -390,12 +400,7 @@ def lambda0(source, q=None, s=2, level=2):
         N = int(source)
         if q is None:
             raise ValueError("q is required when passing a raw point count")
-    values = {}
-    for ell in range(1, level):
-        for region in REGIONS:
-            values[(ell, region)] = closed_form_eigenvalue(
-                Fraction(1, q**ell), region, s, N, q
-            )
+    values = _class_values(N, q, s, level)
     best = min(values.values())
     if float(s) > 1:
         argmin_levels = {k[0] for k, v in values.items() if v == best}
@@ -406,15 +411,12 @@ def lambda0(source, q=None, s=2, level=2):
 
 def lambda0_argmin(N, q, s, level=2):
     """All (mu_B, region) classes attaining the minimum (ties reported)."""
-    values = {}
-    for ell in range(1, level):
-        for region in REGIONS:
-            values[(Fraction(1, q**ell), region)] = closed_form_eigenvalue(
-                Fraction(1, q**ell), region, s, N, q
-            )
+    values = _class_values(N, q, s, level)
     best = min(values.values())
     return sorted(
-        (k for k, v in values.items() if v == best), key=lambda k: (k[0], k[1])
+        (Fraction(1, q**ell), region)
+        for (ell, region), v in values.items()
+        if v == best
     )
 
 

@@ -48,8 +48,6 @@ __all__ = [
     "ChartBall",
     "CellModel",
     "nerve_weights",
-    "join",
-    "geodesic_distance",
     "build_projective_model",
     "build_Y_model",
     "verify_ball_transition_consistency",
@@ -411,7 +409,8 @@ class CellModel:
         return self.cross_top_distance(self.top_index_of(x), self.top_index_of(y))
 
     def cross_top_distance(self, ta, tb):
-        """d_g between cells of distinct top balls, from their two regions."""
+        """d_g between cells of distinct top balls, from their two regions
+        alone (ta == tb: between two tops of that top's region)."""
         sa, sb = self.tops[ta].region, self.tops[tb].region
         key = frozenset((sa, sb))
         if key not in self._cross_cache:
@@ -430,12 +429,12 @@ class CellModel:
         scale = self.branching**self.level
         per = self.cells_per_top
         ntops = len(self.tops)
-        D = np.zeros((ntops, per, ntops, per), dtype=np.int64)
-        for a, b in itertools.permutations(range(ntops), 2):
-            v = self.cross_top_distance(a, b) * scale
-            if v.denominator != 1:
-                raise ModelError("distance not on the c^-m grid")
-            D[a, :, b, :] = int(v)
+        _, idx, table = _region_table(self)
+        scaled = [[d * scale for d in row] for row in table]
+        if any(v.denominator != 1 for row in scaled for v in row):
+            raise ModelError("distance not on the c^-m grid")
+        grid = np.array([[int(v) for v in row] for row in scaled], dtype=np.int64)
+        D = grid[np.ix_(idx, idx)][:, None, :, None].repeat(per, 1).repeat(per, 3)
         same_block = scale // self.branching ** _within_top_depth(self, np.arange(per))
         for a in range(ntops):
             D[a, :, a, :] = same_block
@@ -458,6 +457,22 @@ def nerve_weights(model):
             if count:
                 weights[J] = Fraction(count, model.branching)
     return NerveComplex(weights)
+
+
+def _region_table(model):
+    """The census regions, each top's region index (int array) and the
+    r x r table of d_g between tops of two regions, r = len(regions).
+
+    A cross-top distance depends on the region pair alone, so the first top
+    of each region stands for it on both sides; a diagonal entry is the
+    distance between two tops of one region (unused if it has one top).
+    """
+    regions = list(model._census)
+    number = {region: k for k, region in enumerate(regions)}
+    idx = np.array([number[top.region] for top in model.tops])
+    reps = np.unique(idx, return_index=True)[1].tolist()
+    table = [[model.cross_top_distance(a, b) for b in reps] for a in reps]
+    return regions, idx, table
 
 
 def _census_distance(census, sa, sb, branching, chart_balls=False):
@@ -527,14 +542,6 @@ def _within_top_depth(model, rows):
         agree &= (r // width)[:, None] == (u // width)[None, :]
         depth += agree
     return depth
-
-
-def join(model, x, y):
-    return model.join(x, y)
-
-
-def geodesic_distance(model, x, y):
-    return model.geodesic_distance(x, y)
 
 
 def _frac_str(fr):

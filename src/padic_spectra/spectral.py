@@ -36,7 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from .fields import additive_character_table
-from .models import EXACT_MATRIX_CELL_LIMIT, ModelError, _require_dense, _within_top_depth
+from .models import EXACT_MATRIX_CELL_LIMIT, ModelError, _require_dense
+from .models import _region_table, _within_top_depth
 
 __all__ = [
     "assemble_operator",
@@ -93,13 +94,11 @@ def reduced_operator(model, s, exact=False):
     rates -Q[T, T'] = d_g(T, T')^(-s) / c from a cell of T into T'."""
     if exact and not _is_integral(s):
         raise ValueError("exact assembly needs an integer exponent s")
-    ntops = len(model.tops)
+    _, idx, table = _region_table(model)
     mu_top = Fraction(1, model.branching) if exact else float(Fraction(1, model.branching))
-    Q = np.zeros((ntops, ntops), dtype=object if exact else np.float64)
-    for i in range(ntops):
-        for j in range(ntops):
-            if i != j:
-                Q[i, j] = -_power(model.cross_top_distance(i, j), -s, exact) * mu_top
+    rates = [[_power(d, -s, exact) * mu_top for d in row] for row in table]
+    Q = -np.array(rates, dtype=object if exact else np.float64)[np.ix_(idx, idx)]
+    np.fill_diagonal(Q, 0)  # it holds the same-region rate, not a jump of T to itself
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return Q
 
@@ -163,19 +162,18 @@ def _power(base, exponent, exact):
     return float(base) ** float(exponent)
 
 
-def _kappa(census, distance, region, c, s, exact):
+def _kappa(counts, row, own, c, s, exact):
     """Cross-top part (1/c) sum_{T' != T} d_g(T, T')^(-s) of the class
-    eigenvalue of a top T in `region`.
+    eigenvalue of a top T in region number `own`.
 
-    `census` maps each top region to its number of tops and
-    `distance(region, other)` gives d_g between two distinct tops.
+    counts[k] tops lie in region k, each at distance row[k] from T (for
+    k = own, the distance between two tops of that region).
     """
     total = 0
-    for other, count in census.items():
-        if other == region:
-            count -= 1
+    for k, (count, distance) in enumerate(zip(counts, row)):
+        count -= k == own
         if count:
-            total += count * _power(distance(region, other), -s, exact)
+            total += count * _power(distance, -s, exact)
     return total * Fraction(1, c) if exact else total / c
 
 
@@ -215,20 +213,11 @@ def class_eigenvalues(model, s, exact=None):
     elif exact and not _is_integral(s):
         raise ValueError("exact arithmetic needs an integer exponent s")
     c = model.branching
-    census = model._census
-    members = {}
-    for top in model.tops:
-        members.setdefault(top.region, []).append(top.index)
-
-    def distance(region, other):
-        """d_g between the first top of `region` and another top of `other`."""
-        first = members[region][0]
-        second = members[other][1 if other == region else 0]
-        return model.cross_top_distance(first, second)
-
+    regions, _, table = _region_table(model)
+    counts = [model._census[region] for region in regions]
     values = {}
-    for region in census:
-        kappa = _kappa(census, distance, region, c, s, exact)
+    for own, region in enumerate(regions):
+        kappa = _kappa(counts, table[own], own, c, s, exact)
         for depth in range(1, model.level):
             values[(depth, region)] = _ball_eigenvalue(depth, kappa, c, s, exact)
     return values

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from padic_spectra import builtin_models, cli, spectral
-from padic_spectra.elliptic import NoMatchError
+from padic_spectra.elliptic import CurveSpec, NoMatchError
 from padic_spectra.polymaps import PolynomialMap, polymap_to_json_dict
 
 
@@ -86,6 +86,27 @@ def test_count_command(capsys):
     assert doc["serre_invariant"] == 8
     assert doc["hasse_window"] == [6, 22]
     assert doc["branch_points_rational"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--p", "101", "--a4", "-1", "--a6", "0"],
+     ["hear", "--p", "13", "--a4", "6", "--a6", "6", "--s", "2"]],
+    ids=["count", "hear"],
+)
+def test_one_sweep_of_the_field_per_curve(capsys, monkeypatch, argv):
+    # count (N, Serre invariant, branch points) and hear (model, N) read one
+    # sweep of F_q: the cubic is evaluated once per x, q times in all
+    calls = []
+    rhs = CurveSpec.rhs
+
+    def counted(self, x):
+        calls.append(x.code)
+        return rhs(self, x)
+
+    monkeypatch.setattr(CurveSpec, "rhs", counted)
+    run_json(capsys, *argv)
+    assert sorted(calls) == list(range(int(argv[2])))
 
 
 def test_heat_summary_and_row(capsys):

@@ -152,6 +152,38 @@ def test_nerve_weights_from_fiber_counts():
     assert entries[frozenset({0, 1})] == "4/13"
 
 
+def _tops_by_double_loop(curve):
+    """The fibers of the model by the x-by-y loop over F_q^2: the point at
+    infinity, then every affine point in (x, y) code order."""
+    tops = [(0, "a", frozenset([0]), ("a", "inf"))]
+    affine = []
+    field = curve.field
+    for x in field.elements():
+        rhs = curve.rhs(x)
+        for y in field.elements():
+            if y * y == rhs:
+                affine.append((x.code, y.code, not rhs))
+    affine.sort(key=lambda t: (t[0], t[1]))
+    for xc, yc, is_branch in affine:
+        label = "c" if is_branch else "b"
+        charts = frozenset([1]) if is_branch else frozenset([0, 1])
+        tops.append((len(tops), label, charts, (label, [xc, yc])))
+    return tops
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [CurveSpec(13, -1, 0), CurveSpec(17, -1, 0), CurveSpec(29, -1, 0),
+     CurveSpec(5, -1, 0, f=2)],
+    ids=["p13", "p17", "p29", "q25"],
+)
+def test_model_tops_match_double_loop(curve):
+    model = build_elliptic_model(curve, 2)
+    tops = [(t.index, t.label, t.region, t.data) for t in model.tops]
+    assert tops == _tops_by_double_loop(curve)
+    assert model.N == count_points_bruteforce(curve)
+
+
 def test_level_must_be_at_least_two():
     with pytest.raises(ValueError):
         build_elliptic_model(CurveSpec(13, -1, 0), 1)

@@ -11,12 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from padic_spectra import builtin_models
 from padic_spectra.models import (
     Ball,
     ModelError,
     build_projective_model,
     build_Y_model,
-    geodesic_distance,
     model_to_json,
     verify_ball_transition_consistency,
 )
@@ -139,14 +139,16 @@ def test_distance_between_opposite_poles(p1):
     assert model.geodesic_distance(29, 0) == Fraction(6, 5)
 
 
-def test_distance_matrix_matches_scalar_queries(p1):
-    model, _, _ = p1
-    D, mu = model.distance_matrix()
-    assert mu == model.cell_measure
-    scale = model.branching**model.level
-    for x in range(0, model.num_cells, 7):
-        for y in range(0, model.num_cells, 11):
-            assert Fraction(int(D[x, y]), scale) == geodesic_distance(model, x, y)
+def test_distance_matrix_matches_scalar_queries():
+    for label, model in builtin_models():
+        D, mu = model.distance_matrix()
+        assert mu == model.cell_measure
+        scale = model.branching**model.level
+        for x in range(0, model.num_cells, 7):
+            for y in range(0, model.num_cells, 11):
+                assert Fraction(int(D[x, y]), scale) == model.geodesic_distance(x, y), (
+                    label, x, y
+                )
 
 
 def test_distance_matrix_symmetric_positive(p1):

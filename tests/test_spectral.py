@@ -502,9 +502,20 @@ def test_dense_kernels_refuse_past_the_cell_limit():
 
 def test_reduced_operator_float_entries_match_distance_formula():
     # the float block is d^(-s) * (1/c) entry by entry, the diagonal the
-    # negated row sum: bit for bit, and within rounding of the exact block
+    # negated row sum: bit for bit, and within rounding of the exact block;
+    # the exact block equals the same formula in Fractions
     for label, model in builtin_models():
         ntops = len(model.tops)
+        for s in (0, 1, 2, 3):
+            ref = [[Fraction(0)] * ntops for _ in range(ntops)]
+            for i in range(ntops):
+                for j in range(ntops):
+                    if i != j:
+                        d = model.cross_top_distance(i, j)
+                        ref[i][j] = -(d ** -s) * Fraction(1, model.branching)
+                ref[i][i] = -sum(ref[i])
+            exact = spectral.reduced_operator(model, s, exact=True)
+            assert exact.tolist() == ref, (label, s)
         for s in (1.5, 2, 3):
             ref = np.zeros((ntops, ntops))
             for i in range(ntops):
