@@ -231,8 +231,7 @@ def cmd_count(args):
 def cmd_hear(args):
     curve = _curve_from_args(args)
     model = build_elliptic_model(curve, args.level)
-    summary = spectral.enumerate_spectrum(model, args.s)
-    lam0 = summary.lambda_min_wavelet
+    lam0 = min(spectral.class_eigenvalues(model, args.s).values())
     N_true = count_points_bruteforce(curve)
     payload = {
         "config": _config_echo(args),

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 CERTIFY_DIGITS = 2
+SAMPLE_SIZE = 32
 DEFAULT_SAMPLE_SEED = 20240517
 
 
@@ -83,7 +84,7 @@ def _random_center(F, level, rng):
     return tuple(coords)
 
 
-def _centers_for_level(F, level, sample_size, rng):
+def _centers_for_level(F, level, rng):
     if level == 0:
         return list(F.ball_centers(0))
     total = 1
@@ -92,10 +93,10 @@ def _centers_for_level(F, level, sample_size, rng):
             total *= (F.p - 1) * F.p ** (level - 1)
         else:
             total *= F.p**level
-    if total <= sample_size:
+    if total <= SAMPLE_SIZE:
         return list(F.ball_centers(level))
     seen = set()
-    while len(seen) < sample_size:
+    while len(seen) < SAMPLE_SIZE:
         seen.add(_random_center(F, level, rng))
     return sorted(seen)
 
@@ -114,50 +115,44 @@ def _ball_image_is_equal_ball(apply_f, p, n, center, level, probe):
     return image == target
 
 
-def ball_image_is_equal_radius(F, center, level, certify_digits=CERTIFY_DIGITS):
+def ball_image_is_equal_radius(F, center, level):
     """Whether F maps the ball (center mod p^level) onto an equal-radius ball.
 
-    Exhaustive over the ball's residues modulo p^(level + certify_digits).
+    Exhaustive over the ball's residues modulo p^(level + CERTIFY_DIGITS).
     """
-    probe = level + certify_digits
+    probe = level + CERTIFY_DIGITS
     apply_f = F.residue_function(probe)
     return _ball_image_is_equal_ball(apply_f, F.p, F.dimension, center, level, probe)
 
 
-def equalising_number_of_map(
-    F,
-    radius_range,
-    sample_size=32,
-    certify_digits=CERTIFY_DIGITS,
-    seed=DEFAULT_SAMPLE_SEED,
-):
+def equalising_number_of_map(F, radius_range):
     """Smallest N in radius_range = (N_min, N_max) at which F equalises.
 
     For each level N the tested balls are every ball of the domain when
-    there are at most sample_size of them, otherwise sample_size seeded
-    random centers.  A level passes when each tested ball maps onto a ball
-    of exactly its own radius; the result is the start of the trailing run
-    of passing levels, or NOT_EQUALISING when N_max itself fails (levels
-    with no ball inside the domain, such as radius 1 in a sphere factor,
-    never pass).
+    there are at most SAMPLE_SIZE of them, otherwise SAMPLE_SIZE random
+    centers drawn with the fixed seed DEFAULT_SAMPLE_SEED.  A level passes
+    when each tested ball maps onto a ball of exactly its own radius; the
+    result is the start of the trailing run of passing levels, or
+    NOT_EQUALISING when N_max itself fails (levels with no ball inside the
+    domain, such as radius 1 in a sphere factor, never pass).
 
     Raises PrecisionError when coefficients carry fewer than
-    N_max + certify_digits digits.
+    N_max + CERTIFY_DIGITS digits.
     """
     n_min, n_max = radius_range
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"bad radius range [{n_min}, {n_max}]")
-    needed = n_max + certify_digits
+    needed = n_max + CERTIFY_DIGITS
     if F.precision < needed:
         raise PrecisionError(
             f"probing radius p^-{n_max} needs {needed} digits,"
             f" map carries {F.precision}"
         )
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SAMPLE_SEED)
     works = {}
     for level in range(n_min, n_max + 1):
-        probe = level + certify_digits
-        centers = _centers_for_level(F, level, sample_size, rng)
+        probe = level + CERTIFY_DIGITS
+        centers = _centers_for_level(F, level, rng)
         if not centers:
             works[level] = False
             continue

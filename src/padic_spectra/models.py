@@ -28,19 +28,17 @@ in the nerve; union measures are exact top counts from the region census
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from .equalising import ball_image_is_equal_radius, equalising_number_of_map
+from .equalising import NOT_EQUALISING, ball_image_is_equal_radius, equalising_number_of_map
 from .polymaps import PolynomialMap
 
 __all__ = [
     "ModelError",
     "DisconnectedNerveError",
-    "Chart",
     "Atlas",
     "NerveComplex",
     "TopBall",
@@ -65,45 +63,23 @@ class DisconnectedNerveError(ModelError):
     """Geodesic distance requested across components of a disconnected nerve."""
 
 
-class Chart:
-    """A chart of the atlas: id, domain/image descriptors, local density.
-
-    The built-in models all have cellwise-constant density 1 (the measure
-    transitions by factor 1 on overlaps), so density is a single Fraction.
-    """
-
-    __slots__ = ("id", "domain", "image", "density")
-
-    def __init__(self, id, domain, image, density=Fraction(1)):
-        self.id = id
-        self.domain = domain
-        self.image = image
-        self.density = density
-
-    def __repr__(self):
-        return f"Chart({self.id}, {self.domain!r})"
-
-
 class Atlas:
-    """Charts plus transition maps keyed by ordered chart pairs (i, j)."""
+    """Transition maps keyed by ordered chart pairs (i, j)."""
 
-    __slots__ = ("charts", "transitions")
+    __slots__ = ("transitions",)
 
-    def __init__(self, charts, transitions):
-        self.charts = tuple(charts)
+    def __init__(self, transitions):
         self.transitions = dict(transitions)
 
-    def chart_ids(self):
-        return [c.id for c in self.charts]
-
-    def equalising_number(self, radius_range, **kwargs):
-        """Equalising number of the atlas: worst case over its transitions."""
+    def equalising_number(self, radius_range):
+        """Equalising number of the atlas: worst case over its transitions,
+        NOT_EQUALISING when any of them never equalises."""
         if not self.transitions:
             return radius_range[0]
-        return max(
-            equalising_number_of_map(t, radius_range, **kwargs)
-            for t in self.transitions.values()
-        )
+        numbers = [equalising_number_of_map(t, radius_range) for t in self.transitions.values()]
+        if NOT_EQUALISING in numbers:
+            return NOT_EQUALISING
+        return max(numbers)
 
 
 class NerveComplex:
@@ -133,15 +109,6 @@ class NerveComplex:
 
     def simplices(self):
         return sorted(self._weights, key=lambda s: (len(s), sorted(s)))
-
-    def __contains__(self, ids):
-        return frozenset(ids) in self._weights
-
-    def __len__(self):
-        return len(self._weights)
-
-    def weight(self, ids):
-        return self._weights[frozenset(ids)]
 
     def is_connected(self):
         verts = self.vertices
@@ -252,12 +219,6 @@ class ChartBall:
     def id_string(self):
         return f"U{self.chart}"
 
-    def cell_ids(self):
-        per = self.model.cells_per_top
-        for t in self.model.tops:
-            if self.chart in t.region:
-                yield from range(t.index * per, (t.index + 1) * per)
-
     def parent(self):
         return None
 
@@ -358,12 +319,6 @@ class CellModel:
     def ball(self, top_index, prefix=()):
         return Ball(self, top_index, prefix)
 
-    def ball_of_cell(self, cell, depth=None):
-        if depth is None:
-            depth = self.level
-        t = self.top_index_of(cell)
-        return Ball(self, t, self.digits_of(cell)[: depth - 1])
-
     def balls(self, depth):
         """All balls at a given depth >= 1."""
         if depth < 1 or depth > self.level:
@@ -371,11 +326,6 @@ class CellModel:
         for t in range(len(self.tops)):
             for prefix in itertools.product(range(self.branching), repeat=depth - 1):
                 yield Ball(self, t, prefix)
-
-    def chart_ball(self, chart):
-        if not self.chart_balls:
-            raise ModelError("chart domains are not balls in this model")
-        return ChartBall(self, chart)
 
     def representative(self, cell):
         if self.rep_fn is None:
@@ -439,11 +389,6 @@ class CellModel:
         for a in range(ntops):
             D[a, :, a, :] = same_block
         return D.reshape(ntops * per, ntops * per), Fraction(1, scale)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self, include_cells=True):
-        return model_to_json(self, include_cells=include_cells)
 
 
 def nerve_weights(model):
@@ -664,16 +609,7 @@ def build_projective_model(p, n, level, f=1, name=None):
     model = CellModel(
         label, p, f, n, level, tops, tuple(range(n + 1)), True, rep_fn=_projective_rep
     )
-    precision = level + 4
-    charts = [
-        Chart(
-            i,
-            f"|x_{i}| = 1, other coordinates integral",
-            ("disc",) * n,
-        )
-        for i in range(n + 1)
-    ]
-    atlas = Atlas(charts, _projective_transitions(p, n, precision))
+    atlas = Atlas(_projective_transitions(p, n, level + 4))
     return model, atlas, model.nerve
 
 
@@ -696,36 +632,22 @@ def build_Y_model(p, n, level, f=1):
         f"Y{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), False,
         rep_fn=_projective_rep,
     )
-    precision = level + 4
-    charts = [
-        Chart(
-            i,
-            f"|x_{i}| = 1, other coordinates integral, some coordinate non-unit",
-            "polydisc minus the unit-sphere product",
-        )
-        for i in range(n + 1)
-    ]
-    atlas = Atlas(charts, _projective_transitions(p, n, precision))
+    atlas = Atlas(_projective_transitions(p, n, level + 4))
     return model, atlas, model.nerve
 
 
-def verify_ball_transition_consistency(model, atlas, max_depth=2, sample=None, seed=7):
+def verify_ball_transition_consistency(model, atlas, max_depth=2):
     """Check that every transition maps each applicable ball to an equal-radius ball.
 
     A transition (i, j) applies to a ball whose top region contains both i
-    and j; the ball is expressed in chart-i coordinates and probed two
-    digits below its radius.  Returns (checked, failures).  With `sample`
-    set, at most that many balls are drawn per depth (seeded) instead of
-    all of them.
+    and j; every ball of depth 1 .. max_depth is expressed in chart-i
+    coordinates and probed two digits below its radius.  Returns
+    (checked, failures).
     """
-    rng = random.Random(seed)
     checked = 0
     failures = []
     for depth in range(1, min(max_depth, model.level) + 1):
-        balls = list(model.balls(depth))
-        if sample is not None and len(balls) > sample:
-            balls = rng.sample(balls, sample)
-        for ball in balls:
+        for ball in model.balls(depth):
             region = model.tops[ball.top_index].region
             for (i, j), tau in atlas.transitions.items():
                 if i not in region or j not in region:

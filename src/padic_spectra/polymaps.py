@@ -125,19 +125,6 @@ class PolynomialMap:
 
     # -- domain handling -----------------------------------------------------
 
-    def contains_residue(self, point, level):
-        """Whether the ball (point mod p^level) lies inside the domain.
-
-        For a sphere coordinate this requires level >= 1 and a unit residue:
-        radius-1 balls are never contained in a sphere factor, which is what
-        makes equalising numbers of sphere-domain maps start at 1.
-        """
-        for x, d in zip(point, self.domain):
-            if d == SPHERE:
-                if level < 1 or x % self.p == 0:
-                    return False
-        return True
-
     def ball_centers(self, level):
         """All canonical ball centers (residues mod p^level) inside the domain."""
         modulus = self.p**level
@@ -228,7 +215,6 @@ class PolynomialMap:
 
     def _require_polynomial(self):
         for _, denom in self.components:
-            const = {(0,) * self.dimension: 1}
             keys = [e for e, c in denom.items() if not c.is_zero]
             if keys != [(0,) * self.dimension] or not denom[keys[0]].agrees_with(
                 _as_padic(1, self.p, denom[keys[0]].precision)
@@ -248,12 +234,6 @@ class PolynomialMap:
                 row.append(numer.get(key, zero))
             rows.append(row)
         return rows
-
-    def constant_part(self):
-        self._require_polynomial()
-        key = (0,) * self.dimension
-        zero = PAdicNumber.zero(self.p, self.precision)
-        return tuple(numer.get(key, zero) for numer, _ in self.components)
 
     def scale_and_add_identity(self, m):
         """The map x -> p^m F(x) + x, as a new PolynomialMap."""

@@ -131,27 +131,24 @@ def wavelet_family(model, ball):
     return out
 
 
-def wavelet_eigenvalue_numeric(model, ball, s, exact=None, base_cell=None):
+def wavelet_eigenvalue_numeric(model, ball, s, exact=None):
     """Eigenvalue of the wavelets on a ball, by literal quadrature:
 
         mu(B)^(1-s) + sum_{cells y outside B} d(x, y)^(-s) mu(y)
 
-    for any cell x inside B (the sum does not depend on the choice; pass
-    base_cell to check that).  Exact Fractions for integer s by default.
+    with x the ball's first cell (the sum is the same for every cell x
+    inside B).  Exact Fractions for integer s by default.
     """
     if exact is None:
         exact = _is_integral(s)
     if exact and not _is_integral(s):
         raise ValueError("exact quadrature needs an integer exponent s")
     lo, hi = ball.cell_range
-    x = lo if base_cell is None else base_cell
-    if not lo <= x < hi:
-        raise ValueError("base cell lies outside the ball")
     mu = model.cell_measure if exact else float(model.cell_measure)
     total = _power(ball.measure, 1 - s, exact)
     for y in range(model.num_cells):
         if not lo <= y < hi:
-            total += _power(model.geodesic_distance(x, y), -s, exact) * mu
+            total += _power(model.geodesic_distance(lo, y), -s, exact) * mu
     return total
 
 
@@ -257,7 +254,8 @@ class SpectrumSummary:
 
     @property
     def lambda_min_wavelet(self):
-        return min(c.eigenvalue for c in self.classes)
+        """Smallest wavelet eigenvalue, None for a level-1 model (no wavelets)."""
+        return min((c.eigenvalue for c in self.classes), default=None)
 
     @property
     def total_dimension(self):
@@ -285,7 +283,7 @@ class SpectrumSummary:
             ],
             "complement_dimension": self.complement_dimension,
             "reduced_block_eigenvalues": [float(v) for v in self.reduced_eigenvalues],
-            "lambda_min_wavelet": float(self.lambda_min_wavelet),
+            "lambda_min_wavelet": None if not self.classes else float(self.lambda_min_wavelet),
             "total_dimension": self.total_dimension,
         }
 
@@ -556,6 +554,10 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     """
     if seed is None:
         raise ValueError("a seed is required; sampling must be reproducible")
+    if n_paths < 1:
+        raise ValueError(f"need at least one path, got {n_paths}")
+    if t_max < 0:
+        raise ValueError("negative time")
     c = model.branching
     m = model.level
     per = model.cells_per_top
@@ -622,8 +624,6 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
             )
     law = np.bincount(states, minlength=n).astype(np.float64) / n_paths
     mean_holding = float(n_paths * t_max / (jumps.sum() + n_paths))
-    if first_holding is None:
-        first_holding = np.zeros(0)
     return SimulationResult(
         model.name, s, t_max, seed, states, law, jumps, first_holding,
         mean_holding, trajectories

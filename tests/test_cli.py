@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through cli.main."""
 
+import hashlib
 import json
 import warnings
 
@@ -78,6 +79,16 @@ def test_spectrum_exact_rejects_fractional_exponent(capsys):
     )
     assert code == 2
     assert "integer exponent" in err
+
+
+def test_spectrum_level_one_has_no_wavelet_classes(capsys):
+    doc = run_json(
+        capsys, "spectrum", "--model", "projective", "--n", "1", "--p", "5",
+        "--level", "1",
+    )
+    assert doc["classes"] == []
+    assert doc["lambda_min_wavelet"] is None
+    assert doc["total_dimension"] == 6  # the six cells of P^1(F_5)
 
 
 def test_count_command(capsys):
@@ -274,6 +285,20 @@ def test_simulate_csv_is_the_law_table(capsys):
     assert len(lines) == 105
 
 
+@pytest.mark.parametrize(
+    "paths, t, message",
+    [("0", "0.5", "at least one path"), ("50", "-1", "negative time")],
+    ids=["no-paths", "negative-time"],
+)
+def test_simulate_rejects_bad_sizes(capsys, paths, t, message):
+    code, _, err = run(
+        capsys, "simulate", "--model", "elliptic", "--p", "13", "--a4", "-1",
+        "--a6", "0", "--t", t, "--paths", paths, "--seed", "1",
+    )
+    assert code == 2
+    assert message in err
+
+
 def test_hear_agreement(capsys):
     code, out, err = run(
         capsys, "hear", "--p", "13", "--a4", "-1", "--a6", "0", "--s", "2"
@@ -309,6 +334,19 @@ def test_hear_inversion_failure_exits_three(capsys, monkeypatch):
     assert doc["agree"] is False
 
 
+@pytest.mark.parametrize(
+    "p, a4, a6", [("13", "6", "6"), ("1009", "970", "70")]  # N = 16 and 1056
+)
+def test_hear_reads_no_reduced_block(capsys, monkeypatch, p, a4, a6):
+    def unread(*args, **kwargs):
+        raise AssertionError("hear needs only the wavelet classes")
+
+    monkeypatch.setattr(spectral, "reduced_operator", unread)
+    monkeypatch.setattr(spectral, "reduced_block_eigenvalues", unread)
+    doc = run_json(capsys, "hear", "--p", p, "--a4", a4, "--a6", a6, "--s", "2")
+    assert doc["agree"] is True
+
+
 def test_equalise_command(capsys, tmp_path):
     F = PolynomialMap(5, [{(1,): 2}], ("disc",), 8)
     path = tmp_path / "map.json"
@@ -332,3 +370,22 @@ def test_equalise_near_identity_map(capsys, tmp_path):
 def test_equalise_missing_file(capsys):
     code, _, err = run(capsys, "equalise", "--map", "/nonexistent/map.json")
     assert code == 2
+
+
+# sha256 of the stdout of README examples whose output depends on neither
+# BLAS nor scipy, so any change to them is a change of behaviour.
+README_OUTPUTS = [
+    (("nerve", "--model", "projective", "--n", "2", "--p", "5"),
+     "0393d65e295b5a08175835aa57b10a3f1ee8f1f26acc139fdd36c61490ad52e8"),
+    (("count", "--p", "17", "--a4", "3", "--a6", "13"),
+     "fd4908c981adb88b9e34909f474c2b85261edf3398653f6292d3978bfd45ab7c"),
+    (("hear", "--p", "13", "--a4", "6", "--a6", "6", "--s", "2"),
+     "262e4158ac11b2a070a7bfbdd0cff78a3127a63af6fb5fdda856103064f673a6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", README_OUTPUTS, ids=["nerve", "count", "hear"])
+def test_readme_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

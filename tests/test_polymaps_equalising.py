@@ -18,6 +18,7 @@ from padic_spectra.equalising import (
     equalise_pair,
     equalising_number_of_map,
 )
+from padic_spectra.models import Atlas
 from padic_spectra.padics import (
     PAdicNumber,
     PrecisionError,
@@ -62,6 +63,12 @@ def test_unit_scaling_equalises_at_zero():
 def test_p_scaling_never_equalises():
     F = _map1({(1,): 5})
     assert equalising_number_of_map(F, (0, 3)) is NOT_EQUALISING
+
+
+# One transition that never equalises makes the whole atlas non-equalising.
+def test_atlas_with_a_non_equalising_transition():
+    atlas = Atlas({(0, 1): identity_map(5, 1, 8), (1, 0): _map1({(1,): 5})})
+    assert atlas.equalising_number((0, 3)) is NOT_EQUALISING
 
 
 def test_higher_order_small_terms_keep_e_zero():
