@@ -15,10 +15,11 @@ Its spectrum splits into two honest pieces:
   form (the per-cell quadrature is kept as the test oracle);
 * the complement, spanned by top-ball indicator functions, on which L
   acts exactly as the reduced top-level operator.  Its eigenvalues come
-  from numerically diagonalizing that small matrix and are reported
-  separately; the smallest of them can lie below every wavelet
-  eigenvalue, so `lambda_min_wavelet` is a statement about the wavelet
-  block only (that is the quantity the hearing results invert).
+  from the region quotient (one scalar per census region, plus a small
+  quotient matrix on region indicators) and are reported separately;
+  the smallest of them can lie below every wavelet eigenvalue, so
+  `lambda_min_wavelet` is a statement about the wavelet block only (that
+  is the quantity the hearing results invert).
 
 The class eigenvalues and the reduced block are the only description of
 the generator: heat and Green kernel rows, semigroup action and the jump
@@ -33,7 +34,6 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .fields import additive_character_table
 from .models import EXACT_MATRIX_CELL_LIMIT, ModelError, _require_dense
@@ -103,11 +103,51 @@ def reduced_operator(model, s, exact=False):
     return Q
 
 
+def _region_quotient(model, s):
+    """The reduced operator Q split along its census regions (float).
+
+    Q is constant on region pairs: with k_a tops in region a and rates
+    w_ab = d_g^(-s) / c, its diagonal is D_a = sum_b k_b w_ab - w_aa.  So
+    on vectors that are mean-zero inside one region Q is the scalar
+    D_a + w_aa (multiplicity k_a - 1), and on the normalized region
+    indicators it is the symmetric r x r quotient
+
+        S = diag(D_a + w_aa) - sqrt(k_a k_b) w_ab
+
+    (an equitable partition: Brouwer and Haemers, Spectra of Graphs, 2.3).
+    S kills sqrt(k), the constant function, and is positive on the rest,
+    so eigh puts that mode first; its eigenvalue is set to exactly 0.
+    Returns the top region indices, k, the scalars, and eigh(S).
+    """
+    _, idx, table = _region_table(model)
+    sizes = np.bincount(idx)
+    w = np.array([[_power(d, -s, False) for d in row] for row in table])
+    w *= float(Fraction(1, model.branching))
+    w[np.diag(sizes == 1)] = 0.0  # a region with one top has no same-region pair
+    scalars = w @ sizes
+    root = np.sqrt(sizes)
+    lam, V = np.linalg.eigh(np.diag(scalars) - np.outer(root, root) * w)
+    lam[0] = 0.0
+    return idx, sizes, scalars, lam, V
+
+
+def _reduced_function(model, s, fn):
+    """fn(Q) for the reduced operator Q, from its region quotient: fn maps
+    an array of eigenvalues to their images elementwise."""
+    idx, sizes, scalars, lam, V = _region_quotient(model, s)
+    within = fn(scalars)
+    root = np.sqrt(sizes)
+    C = (V * fn(lam)) @ V.T / np.outer(root, root) - np.diag(within / sizes)
+    F = C[np.ix_(idx, idx)]
+    F[np.diag_indices_from(F)] += within[idx]
+    return F
+
+
 def reduced_block_eigenvalues(model, s):
     """Sorted eigenvalues of the reduced block (float; includes the 0 of
-    the constant function).  Uniform top measure makes the block symmetric."""
-    Q = reduced_operator(model, s)
-    return np.sort(scipy.linalg.eigvalsh(Q))
+    the constant function), from its region quotient."""
+    _, sizes, scalars, lam, _ = _region_quotient(model, s)
+    return np.sort(np.concatenate([lam, np.repeat(scalars, sizes - 1)]))
 
 
 def wavelet_family(model, ball):
@@ -365,7 +405,7 @@ def _heat_parts(model, s, t, paper_constant_term=False, complement=True):
         return weights, np.full((ntops, ntops), 1.0 / model.branching)
     if not complement:
         return weights, np.full((ntops, ntops), 1.0 / ntops)
-    return weights, scipy.linalg.expm(-t * reduced_operator(model, s))
+    return weights, _reduced_function(model, s, lambda x: np.exp(-t * x))
 
 
 def _green_parts(model, s, complement=True):
@@ -382,7 +422,12 @@ def _green_parts(model, s, complement=True):
     ntops = len(model.tops)
     if not complement:
         return weights, np.zeros((ntops, ntops))
-    return weights, np.linalg.pinv(reduced_operator(model, s))
+    return weights, _reduced_function(model, s, _pseudo_reciprocal)
+
+
+def _pseudo_reciprocal(x):
+    """1/x, and 0 at an exact 0 (the constant mode of the quotient)."""
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x != 0)
 
 
 def heat_kernel(model, s, t, paper_constant_term=False, complement=True):
@@ -586,7 +631,8 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     jumps = np.zeros(n_paths, dtype=np.int64)
     first_holding = None
     store = min(max_store, n_paths)
-    trajectories = [[(0.0, int(states[k]))] for k in range(store)]
+    # (paths, clocks, cells) of the stored paths' jumps, one entry per round
+    kept = [(np.arange(store), np.zeros(store), states[:store].copy())]
     alive = np.ones(n_paths, dtype=bool)
     total_steps = 0
     while alive.any():
@@ -614,14 +660,19 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
             inside = cells - local % (cw * c) + child * cw + r % cw
             states[movers] = np.where(hit < m - 1, inside, (hit - (m - 1)) * per + r)
             jumps[movers] += 1
-            for k in movers[movers < store]:
-                trajectories[k].append((float(clocks[k]), int(states[k])))
+            stored = movers[: np.searchsorted(movers, store)]
+            kept.append((stored, clocks[stored], states[stored]))
         total_steps += movers.size
         if total_steps > _rate_cap_steps:
             raise RuntimeError(
                 f"simulation exceeded {_rate_cap_steps} jumps; t_max too"
                 " large for these rates"
             )
+    paths, times, visited = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.argsort(paths, kind="stable")  # rounds stay in time order
+    steps = list(zip(times[order].tolist(), visited[order].tolist()))
+    ends = np.cumsum(np.bincount(paths, minlength=store)).tolist()
+    trajectories = [steps[a:b] for a, b in zip([0] + ends, ends)]
     law = np.bincount(states, minlength=n).astype(np.float64) / n_paths
     mean_holding = float(n_paths * t_max / (jumps.sum() + n_paths))
     return SimulationResult(

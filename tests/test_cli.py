@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -389,3 +392,42 @@ def test_readme_output_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the README examples that need no input file (all but equalise)
+README_EXAMPLES = [
+    ("nerve", "--model", "projective", "--n", "2", "--p", "5"),
+    ("spectrum", "--model", "elliptic", "--p", "13", "--a4", "-1", "--a6", "0",
+     "--s", "2", "--exact"),
+    ("heat", "--model", "elliptic", "--p", "13", "--a4", "-1", "--a6", "0",
+     "--t", "0.7", "--x", "0"),
+    ("green", "--model", "projective", "--n", "1", "--p", "5", "--s", "2"),
+    ("simulate", "--model", "elliptic", "--p", "13", "--a4", "-1", "--a6", "0",
+     "--t", "0.5", "--paths", "100000", "--seed", "11", "--start", "0", "--format", "csv"),
+    ("count", "--p", "17", "--a4", "3", "--a6", "13"),
+    ("hear", "--p", "13", "--a4", "6", "--a6", "6", "--s", "2"),
+]
+
+_RUN_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+from padic_spectra import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_readme_examples_load_no_scipy():
+    # a fresh interpreter: the test process itself has scipy loaded
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, json.dumps(README_EXAMPLES)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0] * len(README_EXAMPLES)
+    assert loaded == []

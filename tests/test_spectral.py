@@ -2,7 +2,10 @@
 
 Reference values come from dense linear algebra run on matrices assembled
 independently from scalar distance queries (numpy eigvalsh / scipy expm /
-numpy pinv), and from exact rational quadrature of the eigenvalue integral.
+numpy pinv), from exact rational quadrature of the eigenvalue integral, and
+from the exact rational pseudo-inverse.  scipy is a test-only dependency:
+the library's reduced block comes from its region quotient, and the dense
+`reduced_operator` with scipy's `expm` is the oracle it is checked against.
 """
 
 from fractions import Fraction
@@ -13,7 +16,7 @@ import scipy.linalg
 
 from padic_spectra import builtin_models, spectral
 from padic_spectra.elliptic import CurveSpec, build_elliptic_model
-from padic_spectra.models import ModelError, build_projective_model
+from padic_spectra.models import ModelError, _region_table, build_projective_model
 
 # dense eigvalsh of the s=2 operator on P1(F_5) at level 2, independent run
 P1_DENSE_SPECTRUM = [
@@ -146,12 +149,12 @@ def _oracle_models():
 ORACLE_MODELS = _oracle_models()
 
 
+def _model_ids(models):
+    return [label.replace("/", "").replace(" level ", "-m") for label, _ in models]
+
+
 @pytest.mark.parametrize("s", [0, 1, 2, 3, 1.5])
-@pytest.mark.parametrize(
-    "label,model",
-    ORACLE_MODELS,
-    ids=[label.replace("/", "").replace(" level ", "-m") for label, _ in ORACLE_MODELS],
-)
+@pytest.mark.parametrize("label,model", ORACLE_MODELS, ids=_model_ids(ORACLE_MODELS))
 def test_class_eigenvalues_match_quadrature_oracle(label, model, s):
     # closed form per class against per-cell quadrature on the class's
     # representative ball: the first top of the region, leftmost prefix
@@ -204,6 +207,85 @@ def test_spectrum_json_carries_exact_values(e13_model):
     exacts = {c["eigenvalue_exact"] for c in doc["classes"]}
     assert "46397/3136" in exacts
     assert doc["total_dimension"] == 104
+
+
+# -- the reduced block from its region quotient ----------------------------------
+
+
+QUOTIENT_MODELS = ORACLE_MODELS + [
+    ("E157 level 2", build_elliptic_model(CurveSpec(157, -1, 0), 2))
+]
+
+
+def _max_rel(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("s", [1.5, 2, 3])
+@pytest.mark.parametrize("label,model", QUOTIENT_MODELS, ids=_model_ids(QUOTIENT_MODELS))
+def test_quotient_matches_dense_reduced_block(label, model, s):
+    # eigenvalues, exp(-tQ) and Q^+ against eigvalsh, scipy expm and the
+    # Moore-Penrose conditions on the dense reduced operator
+    Q = spectral.reduced_operator(model, s)
+    got = spectral.reduced_block_eigenvalues(model, s)
+    assert got[0] == 0.0
+    assert _max_rel(got, np.linalg.eigvalsh(Q)) < 1e-13
+    for t in (0.05, 0.7):
+        _, block = spectral._heat_parts(model, s, t)
+        assert _max_rel(block, scipy.linalg.expm(-t * Q)) < 1e-13, t
+    _, G = spectral._green_parts(model, s)
+    g, q = np.abs(G).max(), np.abs(Q).max()
+    assert np.abs(G - G.T).max() <= 1e-13 * g
+    assert np.abs(G.sum(axis=1)).max() <= 1e-12 * g
+    assert np.abs(Q @ G @ Q - Q).max() <= 1e-12 * q
+    assert np.abs(G @ Q @ G - G).max() <= 1e-12 * g
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("label,model", ORACLE_MODELS, ids=_model_ids(ORACLE_MODELS))
+def test_quotient_green_matches_exact_pseudo_inverse(label, model, s):
+    exact = np.array(spectral.green_reduced_exact(model, s), dtype=object).astype(float)
+    _, G = spectral._green_parts(model, s)
+    assert _max_rel(G, exact) < 1e-13
+
+
+def test_quotient_ignores_the_diagonal_of_a_single_top_region(e13_model, monkeypatch):
+    # E13's region {0} holds one top: its same-region distance names no pair
+    # of tops, so any value there leaves the reduced block unchanged
+    regions, idx, table = _region_table(e13_model)
+    lone = [a for a in range(len(regions)) if (idx == a).sum() == 1]
+    assert lone
+    before = [
+        spectral.reduced_block_eigenvalues(e13_model, 2),
+        spectral._heat_parts(e13_model, 2, 0.7)[1],
+        spectral._green_parts(e13_model, 2)[1],
+    ]
+    altered = [row[:] for row in table]
+    for a in lone:
+        altered[a][a] = Fraction(1, 1000)
+    monkeypatch.setattr(spectral, "_region_table", lambda model: (regions, idx, altered))
+    after = [
+        spectral.reduced_block_eigenvalues(e13_model, 2),
+        spectral._heat_parts(e13_model, 2, 0.7)[1],
+        spectral._green_parts(e13_model, 2)[1],
+    ]
+    for x, y in zip(before, after):
+        assert np.array_equal(x, y)
+
+
+def test_green_block_drops_the_null_mode_on_many_tops():
+    # 712 tops: in floating point Q's null eigenvalue lands near 1e-16, above
+    # a cut-off of 1e-15 times its largest, so only an exact zero for the
+    # constant mode keeps it out of the pseudo-inverse
+    model = build_elliptic_model(CurveSpec(701, -1, 0), 2)
+    assert len(model.tops) == 712
+    Q = spectral.reduced_operator(model, 2)
+    _, G = spectral._green_parts(model, 2)
+    g, q = np.abs(G).max(), np.abs(Q).max()
+    assert g < 10 * q  # no inverted null mode
+    assert np.abs(G @ np.ones(len(G))).max() <= 1e-12 * g
+    assert np.abs(Q @ G @ Q - Q).max() <= 1e-12 * q
+    assert np.abs(G @ Q @ G - G).max() <= 1e-12 * g
 
 
 # -- kernels ------------------------------------------------------------------
@@ -387,6 +469,61 @@ def test_sample_paths_step_cap(e13_model):
         spectral.sample_paths(
             e13_model, 2, 50.0, 500, seed=3, _rate_cap_steps=10
         )
+
+
+def _reference_trajectories(model, s, t_max, n_paths, seed, max_store):
+    """The sampler with its former storage: one Python append per stored jump."""
+    c, m, per = model.branching, model.level, model.cells_per_top
+    ntops = len(model.tops)
+    shells = [spectral._shell_rate(j, c, s, False) for j in range(1, m)]
+    table = np.hstack([np.tile(shells, (ntops, 1)), -spectral.reduced_operator(model, s)])
+    np.fill_diagonal(table[:, m - 1 :], 0.0)
+    cum = np.cumsum(table, axis=1)
+    rates = cum[:, -1]
+    width = table.shape[1]
+    flat = (cum / rates[:, None] + np.arange(ntops)[:, None]).ravel()
+    last = width - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+    child_width = np.array([c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
+    sizes = np.array([(c - 1) * c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    states = rng.integers(0, model.num_cells, size=n_paths)
+    clocks = np.zeros(n_paths)
+    store = min(max_store, n_paths)
+    trajectories = [[(0.0, int(states[k]))] for k in range(store)]
+    alive = np.ones(n_paths, dtype=bool)
+    while alive.any():
+        idx = np.nonzero(alive)[0]
+        landed = clocks[idx] + rng.exponential(1.0 / rates[states[idx] // per])
+        done = landed >= t_max
+        clocks[idx] = np.where(done, t_max, landed)
+        alive[idx[done]] = False
+        movers = idx[~done]
+        if movers.size:
+            cells = states[movers]
+            top = cells // per
+            hit = np.searchsorted(flat, rng.random(movers.size) + top, side="right")
+            hit = np.minimum(hit - top * width, last[top])
+            r = rng.integers(0, sizes[hit])
+            local = cells % per
+            cw = child_width[hit]
+            child = r // cw
+            child += child >= local // cw % c
+            inside = cells - local % (cw * c) + child * cw + r % cw
+            states[movers] = np.where(hit < m - 1, inside, (hit - (m - 1)) * per + r)
+            for k in movers[movers < store]:
+                trajectories[k].append((float(clocks[k]), int(states[k])))
+    return trajectories
+
+
+@pytest.mark.parametrize("max_store", [7, 3000])
+def test_stored_trajectories_match_per_jump_appends(max_store):
+    model, _, _ = build_projective_model(5, 1, 3)
+    n_paths = 3000
+    r = spectral.sample_paths(model, 2, 0.5, n_paths, seed=17, max_store=max_store)
+    ref = _reference_trajectories(model, 2, 0.5, n_paths, 17, max_store)
+    assert len(r.trajectories) == min(max_store, n_paths)
+    assert r.trajectories == ref
+    assert sum(len(path) - 1 for path in ref) > 3 * len(ref)  # several jumps a path
 
 
 def test_sample_paths_json_summary(e13_model):
