@@ -72,21 +72,15 @@ def _curve_from_args(args):
 
 
 def _build_model(args):
+    if args.model in ("projective", "Y") and args.n is None:
+        raise ValueError(f"--n is required for --model {args.model}")
     if args.model == "projective":
         model, atlas, _ = build_projective_model(args.p, args.n, args.level, f=args.f)
         return model, atlas
     if args.model == "Y":
         model, atlas, _ = build_Y_model(args.p, args.n, args.level, f=args.f)
         return model, atlas
-    curve = _curve_from_args(args)
-    return build_elliptic_model(curve, args.level), None
-
-
-def _require_n(args):
-    if args.model in ("projective", "Y") and args.n is None:
-        raise ValueError(f"--n is required for --model {args.model}")
-    if args.model == "elliptic" and (args.a4 is None or args.a6 is None):
-        raise ValueError("--a4 and --a6 are required for --model elliptic")
+    return build_elliptic_model(_curve_from_args(args), args.level), None
 
 
 def _emit(args, payload, table=None):
@@ -110,7 +104,6 @@ def _emit(args, payload, table=None):
 
 
 def cmd_nerve(args):
-    _require_n(args)
     model, _ = _build_model(args)
     payload = {
         "config": _config_echo(args),
@@ -128,7 +121,6 @@ def cmd_nerve(args):
 
 
 def cmd_spectrum(args):
-    _require_n(args)
     model, _ = _build_model(args)
     summary = spectral.enumerate_spectrum(model, args.s, exact=True if args.exact else None)
     payload = summary.to_json_dict()
@@ -169,7 +161,6 @@ def _kernel_payload(args, model, parts):
 
 
 def cmd_heat(args):
-    _require_n(args)
     model, _ = _build_model(args)
     parts = spectral._heat_parts(
         model, args.s, args.t, args.paper_constant_term, not args.wavelet_only
@@ -188,7 +179,6 @@ def cmd_heat(args):
 
 
 def cmd_green(args):
-    _require_n(args)
     model, _ = _build_model(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -200,7 +190,6 @@ def cmd_green(args):
 
 
 def cmd_simulate(args):
-    _require_n(args)
     model, _ = _build_model(args)
     result = spectral.sample_paths(
         model, args.s, args.t, args.paths, seed=args.seed, start=args.start

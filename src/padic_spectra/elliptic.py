@@ -20,13 +20,17 @@ generic path metric then reproduces the curve's distance case table:
 a<->b at (N-3)/q, a<->c at N/q, b<->c and c<->c at (N-1)/q, b<->b at
 (N-4)/q.
 
-Wavelet eigenvalues come in closed form from the same engine as every
-other model's spectrum (``spectral.class_eigenvalues``), evaluated on the
-fiber census {a: 1, b: N-4, c: 3} without building a model; the cross-fiber
-distances come from the same nerve path search.  The published constants
-fail their own s = 0 consistency gate (at s = 0 every eigenvalue must
-equal the total measure N/q), so ``closed_form_eigenvalue`` does not use
-them; ``published_eigenvalue`` preserves the literal printed ones for
+Wavelet eigenvalues come in closed form from the engine behind every
+model's spectrum: one function of a census and its region distance table
+(``spectral._census_eigenvalues``, which ``class_eigenvalues`` also calls).
+Here it runs on the fiber census {a: 1, b: N-4, c: 3} without building a
+model, so ``kappa_term``, ``closed_form_eigenvalue`` and ``lambda0`` read
+the same rate table as a model does.  The distances come from the nerve
+path search, whose paths are enumerated once for the curve's region shape
+and reused for every N.  The published constants fail their own s = 0
+consistency gate (at s = 0 every eigenvalue must equal the total measure
+N/q), so ``closed_form_eigenvalue`` does not use them;
+``published_eigenvalue`` preserves the literal printed ones for
 discrepancy reporting.
 
 Hearing the point count inverts lambda0: a forward integer search over
@@ -43,8 +47,8 @@ import math
 from fractions import Fraction
 
 from .fields import FiniteField, FqElement
-from .models import CellModel, TopBall, _census_distance
-from .spectral import _ball_eigenvalue, _is_integral, _kappa, _power
+from .models import CellModel, TopBall, _census_table
+from .spectral import _ball_eigenvalue, _census_eigenvalues, _cross_top_parts, _is_integral, _power
 
 __all__ = [
     "CurveSpec",
@@ -68,9 +72,6 @@ __all__ = [
     "hasse_window",
     "hear_points",
 ]
-
-REGIONS = ("a", "b", "c")
-
 
 class HypothesisError(ValueError):
     """A curve violates the hypotheses needed by the model (branch points)."""
@@ -129,16 +130,6 @@ class CurveSpec:
     @property
     def q(self):
         return self.field.q
-
-    @property
-    def c4(self):
-        """Coefficient in the x-normalization with A = -27*c4."""
-        return self.A / self._const(-27)
-
-    @property
-    def c6(self):
-        """Coefficient in the x-normalization with B = -54*c6."""
-        return self.B / self._const(-54)
 
     def rhs(self, x):
         return x * x * x + self.A * x + self.B
@@ -218,16 +209,6 @@ class EllipticModel(CellModel):
     def q(self):
         return self.curve.q
 
-    def measures(self):
-        """The chart measure identities, all exact."""
-        q = self.q
-        return {
-            "mu(O1 minus O2)": Fraction(1, q),
-            "mu(O2 minus O1)": Fraction(3, q),
-            "mu(O1 and O2)": Fraction(self.N - 4, q),
-            "mu(E)": Fraction(self.N, q),
-        }
-
 
 def _elliptic_rep(model, cell):
     label, point = model.tops[model.top_index_of(cell)].data
@@ -241,6 +222,15 @@ def _elliptic_rep(model, cell):
 REGION_CHARTS = {"a": frozenset([0]), "b": frozenset([0, 1]), "c": frozenset([1])}
 
 
+def _require_split(curve):
+    """HypothesisError unless the cubic splits: the fiber census needs it."""
+    if not branch_points_rational(curve):
+        raise HypothesisError(
+            "the cubic does not split over F_q; the fiber census needs"
+            " rational branch points"
+        )
+
+
 def build_elliptic_model(curve, level):
     """Construct the good-reduction model at a level >= 2.
 
@@ -250,11 +240,7 @@ def build_elliptic_model(curve, level):
     """
     if level < 2:
         raise ValueError("elliptic models need level >= 2")
-    if not branch_points_rational(curve):
-        raise HypothesisError(
-            "the cubic does not split over F_q; the fiber census needs"
-            " rational branch points"
-        )
+    _require_split(curve)
     tops = [TopBall(0, REGION_CHARTS["a"], "a", data=("a", "inf"))]
     points = _affine_points(curve)
     for xc, yc in zip(points[::2], points[1::2]):
@@ -284,20 +270,24 @@ def _level_of_measure(mu_B, q):
     return level
 
 
+def _fiber_census(N, q):
+    """The fiber census {a: 1, b: N - 4, c: 3} by chart region, and its
+    distance table from the nerve path search over the curve's two charts."""
+    if N < 6:
+        raise HypothesisError("need at least 6 points for the fiber census terms")
+    census = dict(zip(REGION_CHARTS.values(), (1, N - 4, 3)))
+    return census, _census_table(census, q)
+
+
 def kappa_term(region, s, N, q):
     """Cross-fiber part of the eigenvalue: sum of d^(-s) * (fiber measure).
 
-    The closed-form engine's cross-top sum on the fiber census, with the
-    distances from the nerve path search over the curve's two charts.
+    The closed-form engine's cross-top part on the fiber census.
     """
-    if N < 6:
-        raise HypothesisError("need at least 6 points for the fiber census terms")
+    census, table = _fiber_census(N, q)
     if region not in REGION_CHARTS:
         raise ValueError(f"unknown region {region!r}")
-    counts = (1, N - 4, 3)
-    census = dict(zip(REGION_CHARTS.values(), counts))
-    row = [_census_distance(census, REGION_CHARTS[region], other, q) for other in census]
-    return _kappa(counts, row, REGIONS.index(region), q, s, _is_integral(s))
+    return _cross_top_parts(census, table, q, s, _is_integral(s))[REGION_CHARTS[region]]
 
 
 def closed_form_eigenvalue(mu_B, region, s, N, q):
@@ -355,11 +345,10 @@ def published_eigenvalue(mu_B, region, s, N, q):
 def _class_values(N, q, s, level):
     """Closed-form eigenvalue of every (ball level, region) class, levels
     1 .. level - 1, keyed (level, region) in that order."""
-    return {
-        (ell, region): closed_form_eigenvalue(Fraction(1, q**ell), region, s, N, q)
-        for ell in range(1, level)
-        for region in REGIONS
-    }
+    census, table = _fiber_census(N, q)
+    values = _census_eigenvalues(census, table, q, level, s, _is_integral(s))
+    return {(ell, label): values[(ell, charts)]
+            for ell in range(1, level) for label, charts in REGION_CHARTS.items()}
 
 
 def closed_form_discrepancies(N, q, s, level=2):
@@ -389,11 +378,13 @@ def closed_form_discrepancies(N, q, s, level=2):
 def lambda0(source, q=None, s=2, level=2):
     """Smallest wavelet eigenvalue over all (ball measure, region) classes.
 
-    `source` is a CurveSpec (counted by brute force) or the integer point
-    count N with q supplied.  For s > 1 the minimum sits on the maximal
-    balls mu_B = 1/q; HearingError if it does not.
+    `source` is a CurveSpec (counted by brute force; HypothesisError if its
+    cubic does not split, as for its model) or the integer point count N
+    with q supplied.  For s > 1 the minimum sits on the maximal balls
+    mu_B = 1/q; HearingError if it does not.
     """
     if isinstance(source, CurveSpec):
+        _require_split(source)
         N = count_points_bruteforce(source)
         q = source.q
     else:

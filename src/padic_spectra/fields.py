@@ -190,15 +190,22 @@ class FqElement:
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return self._wrap([(a + b) % p for a, b in zip(self.coeffs(), other.coeffs())])
+        fld = self.field
+        if fld.f == 1:
+            return FqElement(fld, (self.code + other.code) % fld.p)
+        return self._wrap([(a + b) % fld.p for a, b in zip(self.coeffs(), other.coeffs())])
 
     def __neg__(self):
-        p = self.field.p
-        return self._wrap([-a % p for a in self.coeffs()])
+        fld = self.field
+        if fld.f == 1:
+            return FqElement(fld, -self.code % fld.p)
+        return self._wrap([-a % fld.p for a in self.coeffs()])
 
     def __sub__(self, other):
         self._check(other)
+        fld = self.field
+        if fld.f == 1:
+            return FqElement(fld, (self.code - other.code) % fld.p)
         return self + (-other)
 
     def __mul__(self, other):

@@ -22,11 +22,15 @@ Two families are built here, the third by the elliptic module:
 Geodesic distance follows the join when it exists and otherwise minimizes
 the measure of a union of chart overlaps along simple facet/coface paths
 in the nerve; union measures are exact top counts from the region census
-(the number of top balls in each chart region), not sums of weights.
+(the number of top balls in each chart region), not sums of weights.  The
+paths depend only on which regions exist, so they are enumerated once per
+region shape, as the sets of regions each path meets; a census of that
+shape then costs one minimum over those sets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -309,10 +313,6 @@ class CellModel:
             rem = rem * self.branching + d
         return top_index * self.cells_per_top + rem
 
-    def sigma(self, cell):
-        """Chart region of the cell: the maximal simplex containing it."""
-        return self.top_of(cell).region
-
     def label_of(self, cell):
         return self.top_of(cell).label
 
@@ -420,51 +420,53 @@ def _region_table(model):
     return regions, idx, table
 
 
+def _census_table(census, branching):
+    """The r x r table of d_g between tops of two regions of a census (in
+    its order; no chart balls), like `_region_table` without a model."""
+    return [[_census_distance(census, sa, sb, branching) for sb in census] for sa in census]
+
+
 def _census_distance(census, sa, sb, branching, chart_balls=False):
     """d_g between two distinct tops with regions sa and sb, from the census.
 
     With chart balls, tops sharing a chart lie in the chart ball of the
-    least shared chart.  Otherwise d_g is the least measure of the union of
-    chart overlaps along a simple facet/coface path from sa to sb in the
-    nerve; the tops of a region lie in that union when the region contains
-    a simplex of the path.
+    least shared chart.  Otherwise d_g is the least top count, over c, of
+    the region sets met by the nerve paths from sa to sb (`_nerve_paths`,
+    enumerated once per region shape and cached).
     """
-    regions = list(census)
     if chart_balls and sa & sb:
         chart = min(sa & sb)
-        return Fraction(sum(census[r] for r in regions if chart in r), branching)
-    simplices = {
-        frozenset(sub)
-        for r in regions
-        for k in range(1, len(r) + 1)
-        for sub in itertools.combinations(sorted(r), k)
-    }
-    masks = {s: sum(1 << i for i, r in enumerate(regions) if s <= r) for s in simplices}
-    adjacent = {s: [] for s in simplices}
-    for s, t in itertools.combinations(simplices, 2):
-        if (s < t or t < s) and abs(len(s) - len(t)) == 1:
-            adjacent[s].append(t)
-            adjacent[t].append(s)
-    best = None
+        return Fraction(sum(n for r, n in census.items() if chart in r), branching)
+    paths = _nerve_paths(frozenset(census), sa, sb)
+    if not paths:
+        raise DisconnectedNerveError(f"no nerve path between {sorted(sa)} and {sorted(sb)}")
+    return Fraction(min(sum(census[r] for r in met) for met in paths), branching)
 
-    def search(current, union, visited):
-        nonlocal best
-        count = sum(census[r] for i, r in enumerate(regions) if union >> i & 1)
-        if best is not None and count >= best:
-            return
+
+@functools.lru_cache(maxsize=None)
+def _nerve_paths(regions, sa, sb):
+    """The sets of regions met along the simple facet/coface paths from sa
+    to sb in the nerve of a set of chart regions, minimal under inclusion.
+
+    A path meets a region when the region contains one of its simplices;
+    the tops of the regions it meets fill the union of its chart overlaps.
+    The sets depend on the region shape alone, not on the top counts.
+    """
+    simplices = {frozenset(sub) for r in regions for k in range(1, len(r) + 1)
+                 for sub in itertools.combinations(sorted(r), k)}
+    met = {s: frozenset(r for r in regions if s <= r) for s in simplices}
+    found = set()
+
+    def walk(current, union, visited):
         if current == sb:
-            best = count
+            found.add(union)
             return
-        for nxt in adjacent[current]:
-            if nxt not in visited:
-                search(nxt, union | masks[nxt], visited | {nxt})
+        for nxt in simplices - visited:
+            if abs(len(nxt) - len(current)) == 1 and (nxt < current or current < nxt):
+                walk(nxt, union | met[nxt], visited | {nxt})
 
-    search(sa, masks[sa], {sa})
-    if best is None:
-        raise DisconnectedNerveError(
-            f"no nerve path between {sorted(sa)} and {sorted(sb)}"
-        )
-    return Fraction(best, branching)
+    walk(sa, met[sa], {sa})
+    return frozenset(u for u in found if not any(v < u for v in found))
 
 
 def _require_dense(model, max_cells=EXACT_MATRIX_CELL_LIMIT):

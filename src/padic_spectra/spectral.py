@@ -29,7 +29,6 @@ the reference for the test suite, and dense kernels refuse large models.
 
 from __future__ import annotations
 
-import math
 import warnings
 from fractions import Fraction
 
@@ -95,19 +94,27 @@ def reduced_operator(model, s, exact=False):
     if exact and not _is_integral(s):
         raise ValueError("exact assembly needs an integer exponent s")
     _, idx, table = _region_table(model)
-    mu_top = Fraction(1, model.branching) if exact else float(Fraction(1, model.branching))
-    rates = [[_power(d, -s, exact) * mu_top for d in row] for row in table]
-    Q = -np.array(rates, dtype=object if exact else np.float64)[np.ix_(idx, idx)]
+    w = _rate_table(table, np.bincount(idx), model.branching, s, exact)
+    Q = -np.array(w, dtype=object if exact else np.float64)[np.ix_(idx, idx)]
     np.fill_diagonal(Q, 0)  # it holds the same-region rate, not a jump of T to itself
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return Q
+
+
+def _rate_table(table, sizes, c, s, exact):
+    """The r x r jump rates w_ab = d_g(a, b)^(-s) / c between tops of census
+    regions a and b (sizes[a] tops), from their distance table, as Fractions
+    or floats; w_aa = 0 for a region with one top (no same-region pair)."""
+    mu_top = Fraction(1, c) if exact else float(Fraction(1, c))
+    return [[0 if a == b and sizes[a] == 1 else _power(d, -s, exact) * mu_top
+             for b, d in enumerate(row)] for a, row in enumerate(table)]
 
 
 def _region_quotient(model, s):
     """The reduced operator Q split along its census regions (float).
 
     Q is constant on region pairs: with k_a tops in region a and rates
-    w_ab = d_g^(-s) / c, its diagonal is D_a = sum_b k_b w_ab - w_aa.  So
+    w_ab (`_rate_table`), its diagonal is D_a = sum_b k_b w_ab - w_aa.  So
     on vectors that are mean-zero inside one region Q is the scalar
     D_a + w_aa (multiplicity k_a - 1), and on the normalized region
     indicators it is the symmetric r x r quotient
@@ -121,9 +128,7 @@ def _region_quotient(model, s):
     """
     _, idx, table = _region_table(model)
     sizes = np.bincount(idx)
-    w = np.array([[_power(d, -s, False) for d in row] for row in table])
-    w *= float(Fraction(1, model.branching))
-    w[np.diag(sizes == 1)] = 0.0  # a region with one top has no same-region pair
+    w = np.array(_rate_table(table, sizes, model.branching, s, False))
     scalars = w @ sizes
     root = np.sqrt(sizes)
     lam, V = np.linalg.eigh(np.diag(scalars) - np.outer(root, root) * w)
@@ -199,19 +204,22 @@ def _power(base, exponent, exact):
     return float(base) ** float(exponent)
 
 
-def _kappa(counts, row, own, c, s, exact):
-    """Cross-top part (1/c) sum_{T' != T} d_g(T, T')^(-s) of the class
-    eigenvalue of a top T in region number `own`.
+def _cross_top_parts(census, table, c, s, exact):
+    """Cross-top part kappa_a = sum_b k_b w_ab - w_aa of the class eigenvalue
+    of a top in each region a of a census {region: k_a tops}, with the
+    rates `_rate_table` of its distance table (rows in census order)."""
+    sizes = list(census.values())
+    w = _rate_table(table, sizes, c, s, exact)
+    return {region: sum(k * rate for k, rate in zip(sizes, row)) - row[a]
+            for a, (region, row) in enumerate(zip(census, w))}
 
-    counts[k] tops lie in region k, each at distance row[k] from T (for
-    k = own, the distance between two tops of that region).
-    """
-    total = 0
-    for k, (count, distance) in enumerate(zip(counts, row)):
-        count -= k == own
-        if count:
-            total += count * _power(distance, -s, exact)
-    return total * Fraction(1, c) if exact else total / c
+
+def _census_eigenvalues(census, table, c, level, s, exact):
+    """Closed-form eigenvalue of every (ball depth, region) class of a
+    census, depths 1 .. level - 1, keyed (depth, region) in that order."""
+    kappas = _cross_top_parts(census, table, c, s, exact)
+    return {(depth, region): _ball_eigenvalue(depth, kappa, c, s, exact)
+            for depth in range(1, level) for region, kappa in kappas.items()}
 
 
 def _ball_eigenvalue(depth, kappa, c, s, exact):
@@ -249,15 +257,8 @@ def class_eigenvalues(model, s, exact=None):
         exact = _is_integral(s)
     elif exact and not _is_integral(s):
         raise ValueError("exact arithmetic needs an integer exponent s")
-    c = model.branching
-    regions, _, table = _region_table(model)
-    counts = [model._census[region] for region in regions]
-    values = {}
-    for own, region in enumerate(regions):
-        kappa = _kappa(counts, table[own], own, c, s, exact)
-        for depth in range(1, model.level):
-            values[(depth, region)] = _ball_eigenvalue(depth, kappa, c, s, exact)
-    return values
+    _, _, table = _region_table(model)  # rows in census order
+    return _census_eigenvalues(model._census, table, model.branching, model.level, s, exact)
 
 
 class SpectrumClass:
@@ -392,20 +393,31 @@ def _kernel_rows(model, weights_by_class, block, cells):
     return rows
 
 
+def _synthesis(model, s, fn, complement):
+    """fn(L) in the two halves the kernels read: fn(lambda) per wavelet
+    class, and fn(L_red) on top means from the region quotient
+    (complement=False: fn(0)/#tops, its constant mode alone).  fn maps an
+    array of eigenvalues to their images elementwise."""
+    lams = class_eigenvalues(model, s, exact=False)
+    weights = dict(zip(lams, fn(np.array(list(lams.values()), dtype=np.float64))))
+    if not complement:
+        ntops = len(model.tops)
+        return weights, np.full((ntops, ntops), fn(np.zeros(1))[0] / ntops)
+    return weights, _reduced_function(model, s, fn)
+
+
 def _heat_parts(model, s, t, paper_constant_term=False, complement=True):
     """The two halves of exp(-tL): exp(-t lambda) per wavelet class, and
     its block on top means, exp(-t L_red) (complement=False: the flat
     1/#tops of its constant mode; paper_constant_term: the bare 1/c)."""
     if t < 0:
         raise ValueError("negative time")
-    lams = class_eigenvalues(model, s, exact=False)
-    weights = {k: math.exp(-t * v) for k, v in lams.items()}
-    ntops = len(model.tops)
+    weights, block = _synthesis(
+        model, s, lambda x: np.exp(-t * x), complement and not paper_constant_term
+    )
     if paper_constant_term:
-        return weights, np.full((ntops, ntops), 1.0 / model.branching)
-    if not complement:
-        return weights, np.full((ntops, ntops), 1.0 / ntops)
-    return weights, _reduced_function(model, s, lambda x: np.exp(-t * x))
+        block.fill(1.0 / model.branching)
+    return weights, block
 
 
 def _green_parts(model, s, complement=True):
@@ -417,12 +429,7 @@ def _green_parts(model, s, complement=True):
             " deepening limit diverges",
             stacklevel=3,
         )
-    lams = class_eigenvalues(model, s, exact=False)
-    weights = {k: 1.0 / float(v) for k, v in lams.items()}
-    ntops = len(model.tops)
-    if not complement:
-        return weights, np.zeros((ntops, ntops))
-    return weights, _reduced_function(model, s, _pseudo_reciprocal)
+    return _synthesis(model, s, _pseudo_reciprocal, complement)
 
 
 def _pseudo_reciprocal(x):

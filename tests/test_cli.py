@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from padic_spectra import builtin_models, cli, spectral
+from padic_spectra import builtin_models, cli, models, spectral
 from padic_spectra.elliptic import CurveSpec, NoMatchError
 from padic_spectra.polymaps import PolynomialMap, polymap_to_json_dict
 
@@ -348,6 +348,18 @@ def test_hear_reads_no_reduced_block(capsys, monkeypatch, p, a4, a6):
     monkeypatch.setattr(spectral, "reduced_block_eigenvalues", unread)
     doc = run_json(capsys, "hear", "--p", p, "--a4", a4, "--a6", a6, "--s", "2")
     assert doc["agree"] is True
+
+
+def test_hear_enumerates_nerve_paths_once_per_region_shape(capsys):
+    # the path search once ran for every candidate N of the Hasse window
+    # (483 searches for q = 157); now the path sets of the curve's region
+    # shape are enumerated once, and a hear at another q reuses them
+    models._nerve_paths.cache_clear()
+    assert run_json(capsys, "hear", "--p", "157", "--a4", "-1", "--a6", "0")["agree"]
+    enumerations = models._nerve_paths.cache_info().misses
+    assert 0 < enumerations <= 18
+    assert run_json(capsys, "hear", "--p", "13", "--a4", "6", "--a6", "6")["agree"]
+    assert models._nerve_paths.cache_info().misses == enumerations
 
 
 def test_equalise_command(capsys, tmp_path):

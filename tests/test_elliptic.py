@@ -111,6 +111,20 @@ def test_threaded_count_agrees():
     assert count_points_bruteforce(curve) == euler == 32
 
 
+@pytest.mark.parametrize("p", [13, 29, 101, 157])
+def test_point_counts_match_euler_criterion(p):
+    # the prime-field sweep against N = 1 + sum_x (1 + chi(rhs(x))), with chi
+    # by Euler's criterion in plain integers
+    for a4, a6 in [(-1, 0), (2, 3), (5, 7), (p - 3, 1)]:
+        if (4 * a4**3 + 27 * a6**2) % p == 0:
+            continue
+        euler = 1
+        for x in range(p):
+            r = (x**3 + a4 * x + a6) % p
+            euler += 1 + (0 if r == 0 else (1 if pow(r, (p - 1) // 2, p) == 1 else -1))
+        assert count_points_bruteforce(CurveSpec(p, a4, a6)) == euler, (a4, a6)
+
+
 def test_serre_invariant():
     assert serre_invariant(CurveSpec(13, -1, 0)) == 8
     assert serre_invariant(CurveSpec(17, -1, 0)) == 0
@@ -264,11 +278,24 @@ def test_lambda0_is_exact_for_integer_s():
     assert lam == Fraction(46397, 3136)
 
 
+def test_lambda0_refuses_a_cubic_that_does_not_split():
+    # x^3 + x + 1 has no root mod 13: the fiber census does not apply
+    curve = CurveSpec(13, 1, 1)
+    assert not branch_points_rational(curve)
+    with pytest.raises(HypothesisError):
+        build_elliptic_model(curve, 2)
+    with pytest.raises(HypothesisError):
+        lambda0(curve, s=2)
+
+
 def test_lambda0_raises_when_minimum_leaves_maximal_balls(monkeypatch):
     # a forward map whose minimum sits on the depth-2 balls breaks the s > 1
     # invariant; lambda0 raises a real error (not an assert, which -O strips)
     monkeypatch.setattr(
-        elliptic, "closed_form_eigenvalue", lambda mu_B, region, s, N, q: mu_B
+        elliptic, "_census_eigenvalues",
+        lambda census, table, c, level, s, exact: {
+            (ell, region): Fraction(1, c**ell) for ell in range(1, level) for region in census
+        },
     )
     with pytest.raises(HearingError, match="maximal balls"):
         lambda0(8, q=13, s=2, level=3)

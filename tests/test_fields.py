@@ -19,6 +19,20 @@ def test_prime_field_is_arithmetic_mod_p():
     assert (a / b) * b == a
 
 
+@pytest.mark.parametrize("p, f", [(13, 1), (5, 2)])
+def test_addition_is_coefficientwise(p, f):
+    # sums, differences and negations agree with the coefficient vectors
+    # added mod p, on the direct prime-field path and on F_(p^f)
+    F = FiniteField(p, f)
+    elems = list(F.elements())
+    for x in elems:
+        assert (-x).code == F.element_from_coeffs([-a % p for a in x.coeffs()]).code
+        for y in elems:
+            pairs = list(zip(x.coeffs(), y.coeffs()))
+            assert (x + y) == F.element_from_coeffs([(a + b) % p for a, b in pairs])
+            assert (x - y) == F.element_from_coeffs([(a - b) % p for a, b in pairs])
+
+
 def test_extension_field_size_and_inverses():
     F = FiniteField(7, 2)
     elems = list(F.elements())

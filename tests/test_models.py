@@ -6,6 +6,7 @@ polydisc of measure q^(-n), and every level multiplies the cell count by
 the branching factor q^n.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,9 @@ import pytest
 from padic_spectra import builtin_models
 from padic_spectra.models import (
     Ball,
+    DisconnectedNerveError,
     ModelError,
+    _census_distance,
     build_projective_model,
     build_Y_model,
     model_to_json,
@@ -172,6 +175,74 @@ def test_representative_structure(p1):
     rep = model.representative(7)
     assert rep["chart"] in model.chart_ids
     assert len(rep["coordinate_digits"]) == model.level
+
+
+def _branch_and_bound_distance(census, sa, sb, branching, chart_balls=False):
+    """Reference cross-top distance: a depth-first search over the simple
+    facet/coface paths of the nerve that keeps the least union top count
+    and cuts every partial path whose count already reaches it."""
+    regions = list(census)
+    if chart_balls and sa & sb:
+        chart = min(sa & sb)
+        return Fraction(sum(census[r] for r in regions if chart in r), branching)
+    simplices = {
+        frozenset(sub)
+        for r in regions
+        for k in range(1, len(r) + 1)
+        for sub in itertools.combinations(sorted(r), k)
+    }
+    masks = {s: sum(1 << i for i, r in enumerate(regions) if s <= r) for s in simplices}
+    adjacent = {s: [] for s in simplices}
+    for s, t in itertools.combinations(simplices, 2):
+        if (s < t or t < s) and abs(len(s) - len(t)) == 1:
+            adjacent[s].append(t)
+            adjacent[t].append(s)
+    best = None
+
+    def search(current, union, visited):
+        nonlocal best
+        count = sum(census[r] for i, r in enumerate(regions) if union >> i & 1)
+        if best is not None and count >= best:
+            return
+        if current == sb:
+            best = count
+            return
+        for nxt in adjacent[current]:
+            if nxt not in visited:
+                search(nxt, union | masks[nxt], visited | {nxt})
+
+    search(sa, masks[sa], {sa})
+    if best is None:
+        raise DisconnectedNerveError("no nerve path")
+    return Fraction(best, branching)
+
+
+def _path_search_cases():
+    models = [model for _, model in builtin_models()]
+    models += [build_projective_model(7, 2, 1)[0], build_Y_model(7, 2, 1)[0]]
+    models.append(build_Y_model(5, 1, 1)[0])  # a disconnected nerve
+    for model in models:
+        yield model._census, model.branching, model.chart_balls
+    a, b, c = frozenset([0]), frozenset([0, 1]), frozenset([1])
+    for N in range(6, 61):  # the elliptic fiber census
+        yield {a: 1, b: N - 4, c: 3}, 13, False
+
+
+def test_path_search_matches_branch_and_bound():
+    # the cached per-shape path sets give the same d_g as the search that
+    # walks the nerve for every census, on every region pair
+    pairs = 0
+    for census, branching, chart_balls in _path_search_cases():
+        for sa, sb in itertools.product(census, repeat=2):
+            try:
+                expected = _branch_and_bound_distance(census, sa, sb, branching, chart_balls)
+            except DisconnectedNerveError:
+                with pytest.raises(DisconnectedNerveError):
+                    _census_distance(census, sa, sb, branching, chart_balls)
+                continue
+            assert _census_distance(census, sa, sb, branching, chart_balls) == expected
+            pairs += 1
+    assert pairs > 500
 
 
 # -- transitions ---------------------------------------------------------------
