@@ -41,11 +41,15 @@ EXIT_STRICT_DISCREPANCY = 4
 
 
 def _parse_exponent(text):
-    """s as int when integral (enables exact arithmetic), float otherwise."""
+    """s as int when integral (enables exact arithmetic), float otherwise;
+    nan and inf are refused."""
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"exponent must be finite, got {text}")
+    return value
 
 
 def _parse_coefficient(text):
@@ -134,46 +138,47 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def _kernel_payload(args, model, parts):
-    """Kernel summary payload from spectral (weights, block) parts, and the
-    rows at each top's first cell, without the n x n array: every row of a
-    top holds the same values, so these rows carry the extremes, and the
-    cross-top asymmetry lives in the tops x tops submatrix."""
+def _kernel_payload(args, model, profile, block):
+    """Kernel summary payload from the spectral (profile, block) form of
+    f(L), plus the --x row: entries are c B[T, T'] between tops and
+    c B[T, T] + P_T[d] inside a top, so the extremes need no row, and the
+    asymmetry is that of c B."""
     if args.x is not None and not 0 <= args.x < model.num_cells:
         raise ValueError(f"--x {args.x} out of range for {model.num_cells} cells")
-    firsts = np.arange(len(model.tops)) * model.cells_per_top
-    cells = firsts if args.x is None else np.append(firsts, args.x)
-    rows = spectral._kernel_rows(model, *parts, cells)
-    tops = rows[: len(firsts)]
-    sub = tops[:, firsts]
+    cB = block * float(model.branching)
+    inner = np.diag(cB)[:, None] + profile[:, 1:]
+    entries = np.concatenate([cB[~np.eye(len(cB), dtype=bool)], inner.ravel()])
     payload = {
         "config": _config_echo(args),
         "model": model.name,
         "s": float(args.s),
         "wavelet_only": bool(args.wavelet_only),
-        "min_entry": float(tops.min()),
-        "max_entry": float(tops.max()),
-        "max_asymmetry": float(np.abs(sub - sub.T).max()),
+        "min_entry": float(entries.min()),
+        "max_entry": float(entries.max()),
+        "max_asymmetry": float(np.abs(cB - cB.T).max()),
     }
     if args.x is not None:
-        payload["row"] = [float(v) for v in rows[-1]]
-    return payload, tops
+        row = spectral._kernel_rows(model, profile, block, np.array([args.x]))[0]
+        payload["row"] = [float(v) for v in row]
+    return payload
 
 
 def cmd_heat(args):
     model, _ = _build_model(args)
-    parts = spectral._heat_parts(
+    profile, block = spectral._heat_parts(
         model, args.s, args.t, args.paper_constant_term, not args.wavelet_only
     )
-    payload, tops = _kernel_payload(args, model, parts)
-    mu = float(model.cell_measure)
-    per = model.cells_per_top
-    mass = (tops * mu).sum(axis=1)
-    cell_diagonal = np.repeat(np.diag(tops[:, ::per]), per)  # summed as np.trace would
+    payload = _kernel_payload(args, model, profile, block)
+    c = model.branching
+    m = model.level
+    # against mu = c^-m the c^(m-1) cells of a top weigh 1/c, and a cell has
+    # (c - 1) c^(m-1-d) cells of its top at join depth d < m, one at d = m
+    counts = [(c - 1) * c ** (m - 1 - d) for d in range(1, m)] + [1]
+    mass = block.sum(axis=1) + profile[:, 1:] @ counts / c**m
     payload["t"] = args.t
     payload["paper_constant_term"] = bool(args.paper_constant_term)
     payload["mass_max_deviation"] = float(np.abs(mass - 1.0).max())
-    payload["trace_times_mu"] = float(cell_diagonal.sum() * mu)
+    payload["trace_times_mu"] = float(np.trace(block) + profile[:, m].sum() / c)
     _emit(args, payload)
     return EXIT_OK
 
@@ -183,7 +188,7 @@ def cmd_green(args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         parts = spectral._green_parts(model, args.s, not args.wavelet_only)
-    payload, _ = _kernel_payload(args, model, parts)
+    payload = _kernel_payload(args, model, *parts)
     payload["warnings"] = [str(w.message) for w in caught]
     _emit(args, payload)
     return EXIT_OK

@@ -22,9 +22,9 @@ Its spectrum splits into two honest pieces:
   is the quantity the hearing results invert).
 
 The class eigenvalues and the reduced block are the only description of
-the generator: heat and Green kernel rows, semigroup action and the jump
-sampler all read them.  The dense matrix (`assemble_operator`) is kept as
-the reference for the test suite, and dense kernels refuse large models.
+the generator: heat and Green kernels and the semigroup read them in one
+form (`_synthesis`), the sampler as rates.  The dense matrix is the tests'
+reference (`assemble_operator`); dense kernels refuse large models.
 """
 
 from __future__ import annotations
@@ -364,65 +364,73 @@ def enumerate_spectrum(model, s, exact=None):
 # -- kernels ------------------------------------------------------------------
 
 
-def _kernel_rows(model, weights_by_class, block, cells):
-    """Rows at the cells (int array) of the kernel sum_psi w(class) psi(x) psi(y)*
-    + c block[T(x), T(y)], from per-class weights and a block on top means.
-
-    Character orthogonality collapses each ball's wavelet sum to
-    mu(B)^(-1) (c [same child] - 1), so within a top the wavelet part is
-    a function of the join depth alone, one profile over the depths
-    1..m per region.
-    """
+def _kernel_rows(model, profile, block, cells):
+    """Rows at the cells (int array) of the kernel of f(L), expanded from its
+    `_synthesis` form: c block[T(x), T(y)] between tops, plus the profile
+    value P_T[d] at join depth d inside the top T of x."""
     c = model.branching
-    m = model.level
     per = model.cells_per_top
-    profile = {}
-    for region in model._census:
-        W = np.zeros(m + 1)
-        for delta in range(1, m):
-            term = float(weights_by_class[(delta, region)]) * float(c) ** delta
-            W[delta] -= term
-            W[delta + 1 :] += term * (c - 1)
-        profile[region] = W
-    by_top = np.array([profile[top.region] for top in model.tops])
     tops = cells // per
     rows = np.repeat(block[tops] * float(c), per, axis=1)
     blocks = rows.reshape(len(cells), len(model.tops), per)  # a view of rows
     depth = _within_top_depth(model, cells % per)
-    blocks[np.arange(len(cells)), tops] += by_top[tops[:, None], depth]
+    blocks[np.arange(len(cells)), tops] += profile[tops[:, None], depth]
     return rows
 
 
 def _synthesis(model, s, fn, complement):
-    """fn(L) in the two halves the kernels read: fn(lambda) per wavelet
-    class, and fn(L_red) on top means from the region quotient
-    (complement=False: fn(0)/#tops, its constant mode alone).  fn maps an
+    """fn(L) in the one form every kernel reads: (profile, block).
+
+    Between tops T and T' the kernel of fn(L) against mu is c block[T, T'],
+    block = fn(L_red) on top means from the region quotient (complement=False:
+    fn(0)/#tops, its constant mode alone).  Inside T it is c block[T, T] +
+    profile[T, d] at join depth d = 1..m: character orthogonality collapses
+    each ball's wavelet sum to mu(B)^(-1) (c [same child] - 1).  fn maps an
     array of eigenvalues to their images elementwise."""
     lams = class_eigenvalues(model, s, exact=False)
     weights = dict(zip(lams, fn(np.array(list(lams.values()), dtype=np.float64))))
+    c = model.branching
+    m = model.level
+    profile = {}
+    for region in model._census:
+        W = np.zeros(m + 1)
+        for delta in range(1, m):
+            term = float(weights[(delta, region)]) * float(c) ** delta
+            W[delta] -= term
+            W[delta + 1 :] += term * (c - 1)
+        profile[region] = W
+    by_top = np.array([profile[top.region] for top in model.tops])
     if not complement:
         ntops = len(model.tops)
-        return weights, np.full((ntops, ntops), fn(np.zeros(1))[0] / ntops)
-    return weights, _reduced_function(model, s, fn)
+        return by_top, np.full((ntops, ntops), fn(np.zeros(1))[0] / ntops)
+    return by_top, _reduced_function(model, s, fn)
+
+
+def _check_time(t):
+    """Refuse a negative or non-finite time."""
+    if t < 0:
+        raise ValueError("negative time")
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
 
 
 def _heat_parts(model, s, t, paper_constant_term=False, complement=True):
-    """The two halves of exp(-tL): exp(-t lambda) per wavelet class, and
-    its block on top means, exp(-t L_red) (complement=False: the flat
-    1/#tops of its constant mode; paper_constant_term: the bare 1/c)."""
-    if t < 0:
-        raise ValueError("negative time")
-    weights, block = _synthesis(
+    """exp(-tL) in the `_synthesis` form (profile, block): the block is
+    exp(-t L_red) (complement=False: the flat 1/#tops of its constant
+    mode; paper_constant_term: the bare 1/c)."""
+    _check_time(t)
+    profile, block = _synthesis(
         model, s, lambda x: np.exp(-t * x), complement and not paper_constant_term
     )
     if paper_constant_term:
         block.fill(1.0 / model.branching)
-    return weights, block
+    return profile, block
 
 
 def _green_parts(model, s, complement=True):
-    """1/lambda per wavelet class and the pseudo-inverse of L_red on top
-    means (zero with complement=False); warns for s <= 1."""
+    """The pseudo-inverse of L in the `_synthesis` form (profile, block):
+    the block is the pseudo-inverse of L_red (zero with complement=False);
+    warns for s <= 1."""
     if float(s) <= 1:
         warnings.warn(
             "Green function for s <= 1: finite-level values only, the"
@@ -509,12 +517,12 @@ def green_reduced_exact(model, s):
 def semigroup_apply(model, s, t, values, complement=True):
     """exp(-tL) applied to a vector of cell values by spectral synthesis.
 
-    Block averages evolve under the reduced operator; each depth's detail
-    (the difference of successive conditional averages) is an eigenvector
-    and just decays.  Matches the dense matrix exponential to rounding.
-    complement=False projects onto constants + wavelets instead: the
-    cross-fiber part of the input (top means minus the global mean) is
-    dropped, not evolved.
+    The heat kernel's `_synthesis` form, telescoped: out = block (top
+    means) + sum_d (P_T[d] - P_T[d-1]) / c^d (depth-d ball means, depth 1
+    the top), each mean from the next finer one.  Matches the dense matrix
+    exponential to rounding.  complement=False projects onto constants +
+    wavelets instead: the cross-fiber part of the input (top means minus
+    the global mean) is dropped, not evolved.
     """
     v = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     n = model.num_cells
@@ -522,19 +530,17 @@ def semigroup_apply(model, s, t, values, complement=True):
         raise ValueError(f"expected {n} cell values, got shape {v.shape}")
     c = model.branching
     m = model.level
-    per = model.cells_per_top
     ntops = len(model.tops)
-    weights, block = _heat_parts(model, s, t, complement=complement)
-    out = np.repeat(block @ v.reshape(ntops, per).mean(axis=1), per)
-    averages = {m: v}
+    profile, block = _heat_parts(model, s, t, complement=complement)
+    g = np.diff(profile, axis=1) / float(c) ** np.arange(1, m + 1)
+    means = v.reshape(ntops, -1)
+    out = means * g[:, -1:]
     for depth in range(m - 1, 0, -1):
-        width = c ** (m - depth)
-        averages[depth] = v.reshape(-1, width).mean(axis=1).repeat(width)
-    for delta in range(1, m):
-        detail = averages[delta + 1] - averages[delta]
-        decay = np.repeat([weights[(delta, top.region)] for top in model.tops], per)
-        out = out + decay * detail
-    return out
+        means = means.reshape(ntops, -1, c).mean(axis=2)
+        balls = out.reshape(ntops, means.shape[1], -1)  # a view of out
+        balls += (g[:, depth - 1, None] * means)[:, :, None]
+    out += (block @ means[:, 0])[:, None]
+    return out.ravel()
 
 
 class SimulationResult:
@@ -608,8 +614,7 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
         raise ValueError("a seed is required; sampling must be reproducible")
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
-    if t_max < 0:
-        raise ValueError("negative time")
+    _check_time(t_max)
     c = model.branching
     m = model.level
     per = model.cells_per_top

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from padic_spectra import builtin_models, cli, models, spectral
-from padic_spectra.elliptic import CurveSpec, NoMatchError
+from padic_spectra.elliptic import CurveSpec, NoMatchError, build_elliptic_model
 from padic_spectra.polymaps import PolynomialMap, polymap_to_json_dict
 
 
@@ -192,6 +193,83 @@ def test_kernel_summary_matches_dense_kernel(capsys, builtin, label, command, fl
         assert doc["trace_times_mu"] == pytest.approx(float(np.trace(K) * mu), rel=1e-12)
 
 
+def _summary_from_rows(model, parts):
+    """The kernel summary read from one full kernel row per top (at its
+    first cell): every row of a top holds the same values, and the
+    cross-top asymmetry lives in the tops x tops submatrix."""
+    firsts = np.arange(len(model.tops)) * model.cells_per_top
+    tops = spectral._kernel_rows(model, *parts, firsts)
+    sub = tops[:, firsts]
+    mu = float(model.cell_measure)
+    per = model.cells_per_top
+    mass = (tops * mu).sum(axis=1)
+    cell_diagonal = np.repeat(np.diag(tops[:, ::per]), per)
+    return {
+        "min_entry": float(tops.min()),
+        "max_entry": float(tops.max()),
+        "max_asymmetry": float(np.abs(sub - sub.T).max()),
+        "mass_max_deviation": float(np.abs(mass - 1.0).max()),
+        "trace_times_mu": float(cell_diagonal.sum() * mu),
+    }
+
+
+MANY_TOP_ARGV = {
+    "E/F_101 level 2": ["--model", "elliptic", "--p", "101", "--a4", "-1", "--a6", "0"],
+    "P1(25) level 2": ["--model", "projective", "--n", "1", "--p", "5", "--f", "2"],
+}
+
+
+@pytest.fixture(scope="module")
+def many_top():
+    return {
+        "E/F_101 level 2": build_elliptic_model(CurveSpec(101, -1, 0), 2),
+        "P1(25) level 2": models.build_projective_model(5, 1, 2, f=2)[0],
+    }
+
+
+@pytest.mark.parametrize("label", sorted(MANY_TOP_ARGV))
+@pytest.mark.parametrize(
+    "command, flags, kwargs", KERNEL_VARIANTS,
+    ids=[" ".join([cmd, *flags]) for cmd, flags, _ in KERNEL_VARIANTS],
+)
+def test_kernel_summary_matches_row_based_summary(capsys, many_top, label, command, flags,
+                                                  kwargs):
+    model = many_top[label]
+    argv = [command, *MANY_TOP_ARGV[label], *flags]
+    s = int(flags[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if command == "heat":
+            parts = spectral._heat_parts(model, s, 0.3, **kwargs)
+            doc = run_json(capsys, *argv, "--t", "0.3")
+        else:
+            parts = spectral._green_parts(model, s, **kwargs)
+            doc = run_json(capsys, *argv)
+    assert doc["model"] == model.name
+    ref = _summary_from_rows(model, parts)
+    for key in ("min_entry", "max_entry", "max_asymmetry"):
+        assert doc[key] == ref[key], key
+    if command == "heat":
+        assert doc["mass_max_deviation"] == pytest.approx(ref["mass_max_deviation"], abs=1e-13)
+        assert doc["trace_times_mu"] == pytest.approx(ref["trace_times_mu"], rel=1e-13)
+
+
+@pytest.mark.parametrize("command", [["heat", "--t", "0.7"], ["green"]], ids=["heat", "green"])
+def test_kernel_summary_builds_no_row_per_top(capsys, command):
+    # E/F_307 at level 2 has 94556 cells over 308 tops: one kernel row per
+    # top would be 29M floats, while the summary needs O(tops^2) numbers
+    argv = [*command, "--model", "elliptic", "--p", "307", "--a4", "-1", "--a6", "0"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 32e6
+
+
 @pytest.mark.parametrize("command", ["heat", "green", "simulate"])
 def test_kernels_and_sampler_past_the_dense_limit(capsys, command):
     # P2(5) at level 3: 19375 cells, far past the 1500-cell dense limit
@@ -290,8 +368,9 @@ def test_simulate_csv_is_the_law_table(capsys):
 
 @pytest.mark.parametrize(
     "paths, t, message",
-    [("0", "0.5", "at least one path"), ("50", "-1", "negative time")],
-    ids=["no-paths", "negative-time"],
+    [("0", "0.5", "at least one path"), ("50", "-1", "negative time"),
+     ("50", "nan", "finite"), ("50", "inf", "finite")],
+    ids=["no-paths", "negative-time", "nan-time", "inf-time"],
 )
 def test_simulate_rejects_bad_sizes(capsys, paths, t, message):
     code, _, err = run(
@@ -300,6 +379,30 @@ def test_simulate_rejects_bad_sizes(capsys, paths, t, message):
     )
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_heat_rejects_non_finite_time(capsys, t):
+    code, out, err = run(
+        capsys, "heat", "--model", "elliptic", "--p", "13", "--a4", "-1",
+        "--a6", "0", "--t", t,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--model", "elliptic", "--p", "13", "--a4", "-1", "--a6", "0", "--s", "inf"),
+     ("hear", "--p", "13", "--a4", "-1", "--a6", "0", "--s", "nan")],
+    ids=["spectrum-inf", "hear-nan"],
+)
+def test_non_finite_exponent_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "exponent must be finite" in capsys.readouterr().err
 
 
 def test_hear_agreement(capsys):

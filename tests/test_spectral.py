@@ -439,6 +439,58 @@ def test_semigroup_apply_shape_check(e13_model):
         spectral.semigroup_apply(e13_model, 2, 0.5, np.zeros(7))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_semigroup_apply_rejects_non_finite_time(e13_model, t):
+    with pytest.raises(ValueError, match="finite"):
+        spectral.semigroup_apply(e13_model, 2, t, np.zeros(e13_model.num_cells))
+
+
+def _semigroup_apply_by_averages(model, s, t, values, complement=True):
+    """exp(-tL) v from a full-length copy of the ball means at every depth
+    and one decay array per depth, the class weights looked up per top."""
+    v = np.asarray(values)
+    c, m, per = model.branching, model.level, model.cells_per_top
+    ntops = len(model.tops)
+    lams = spectral.class_eigenvalues(model, s, exact=False)
+    weights = {key: np.exp(-t * float(lam)) for key, lam in lams.items()}
+    block = spectral._heat_parts(model, s, t, complement=complement)[1]
+    out = np.repeat(block @ v.reshape(ntops, per).mean(axis=1), per)
+    averages = {m: v}
+    for depth in range(m - 1, 0, -1):
+        width = c ** (m - depth)
+        averages[depth] = v.reshape(-1, width).mean(axis=1).repeat(width)
+    for delta in range(1, m):
+        detail = averages[delta + 1] - averages[delta]
+        decay = np.repeat([weights[(delta, top.region)] for top in model.tops], per)
+        out = out + decay * detail
+    return out
+
+
+@pytest.fixture(scope="module")
+def deep_models():
+    return {
+        "P1(5) level 5": build_projective_model(5, 1, 5)[0],
+        "P2(5) level 4": build_projective_model(5, 2, 4)[0],
+        "E/F_13 level 4": build_elliptic_model(CurveSpec(13, -1, 0), 4),
+    }
+
+
+@pytest.mark.parametrize("label", ["P1(5) level 5", "P2(5) level 4", "E/F_13 level 4"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("complement", [True, False])
+def test_semigroup_apply_matches_ball_average_synthesis(deep_models, label, dtype,
+                                                        complement):
+    model = deep_models[label]
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=model.num_cells).astype(dtype)
+    if dtype is np.complex128:
+        h += 1j * rng.normal(size=model.num_cells)
+    got = spectral.semigroup_apply(model, 2.5, 0.3, h, complement=complement)
+    ref = _semigroup_apply_by_averages(model, 2.5, 0.3, h, complement=complement)
+    assert got.dtype == ref.dtype
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 # -- path sampling ---------------------------------------------------------------
 
 
