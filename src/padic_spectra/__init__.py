@@ -59,7 +59,6 @@ from .spectral import (
 from .elliptic import (
     AmbiguousMatchError,
     CurveSpec,
-    EllipticModel,
     HearingResult,
     HypothesisError,
     NoMatchError,

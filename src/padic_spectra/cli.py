@@ -79,15 +79,13 @@ def _build_model(args):
     if args.model in ("projective", "Y") and args.n is None:
         raise ValueError(f"--n is required for --model {args.model}")
     if args.model == "projective":
-        model, atlas, _ = build_projective_model(args.p, args.n, args.level, f=args.f)
-        return model, atlas
+        return build_projective_model(args.p, args.n, args.level, f=args.f)[0]
     if args.model == "Y":
-        model, atlas, _ = build_Y_model(args.p, args.n, args.level, f=args.f)
-        return model, atlas
-    return build_elliptic_model(_curve_from_args(args), args.level), None
+        return build_Y_model(args.p, args.n, args.level, f=args.f)[0]
+    return build_elliptic_model(_curve_from_args(args), args.level)
 
 
-def _emit(args, payload, table=None):
+def _emit(args, payload, table):
     if args.format == "csv":
         if table is None:
             raise ValueError("csv output is only available for tabular commands")
@@ -105,12 +103,15 @@ def _emit(args, payload, table=None):
 
 
 # -- commands ------------------------------------------------------------------
+#
+# Each command returns (payload, table, exit code): the JSON payload without
+# its "config" echo, the (header, rows) CSV table or None when the command
+# has no tabular form, and the exit code.  main adds the echo and emits.
 
 
 def cmd_nerve(args):
-    model, _ = _build_model(args)
+    model = _build_model(args)
     payload = {
-        "config": _config_echo(args),
         "model": model.name,
         "total_measure": _frac_str(model.total_measure),
         "connected": model.nerve.is_connected(),
@@ -120,22 +121,19 @@ def cmd_nerve(args):
         ["charts", "weight"],
         [(";".join(str(c) for c in e["charts"]), e["weight"]) for e in payload["simplices"]],
     )
-    _emit(args, payload, table)
-    return EXIT_OK
+    return payload, table, EXIT_OK
 
 
 def cmd_spectrum(args):
-    model, _ = _build_model(args)
+    model = _build_model(args)
     summary = spectral.enumerate_spectrum(model, args.s, exact=True if args.exact else None)
-    payload = summary.to_json_dict()
-    payload["config"] = _config_echo(args)
     rows = [
         (c.depth, ";".join(str(r) for r in sorted(c.region)), _frac_str(c.mu_B),
          float(c.eigenvalue), c.multiplicity)
         for c in summary.classes
     ]
-    _emit(args, payload, (["depth", "region", "mu_B", "eigenvalue", "multiplicity"], rows))
-    return EXIT_OK
+    header = ["depth", "region", "mu_B", "eigenvalue", "multiplicity"]
+    return summary.to_json_dict(), (header, rows), EXIT_OK
 
 
 def _kernel_payload(args, model, profile, block):
@@ -149,7 +147,6 @@ def _kernel_payload(args, model, profile, block):
     inner = np.diag(cB)[:, None] + profile[:, 1:]
     entries = np.concatenate([cB[~np.eye(len(cB), dtype=bool)], inner.ravel()])
     payload = {
-        "config": _config_echo(args),
         "model": model.name,
         "s": float(args.s),
         "wavelet_only": bool(args.wavelet_only),
@@ -164,7 +161,7 @@ def _kernel_payload(args, model, profile, block):
 
 
 def cmd_heat(args):
-    model, _ = _build_model(args)
+    model = _build_model(args)
     profile, block = spectral._heat_parts(
         model, args.s, args.t, args.paper_constant_term, not args.wavelet_only
     )
@@ -179,31 +176,26 @@ def cmd_heat(args):
     payload["paper_constant_term"] = bool(args.paper_constant_term)
     payload["mass_max_deviation"] = float(np.abs(mass - 1.0).max())
     payload["trace_times_mu"] = float(np.trace(block) + profile[:, m].sum() / c)
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, None, EXIT_OK
 
 
 def cmd_green(args):
-    model, _ = _build_model(args)
+    model = _build_model(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         parts = spectral._green_parts(model, args.s, not args.wavelet_only)
     payload = _kernel_payload(args, model, *parts)
     payload["warnings"] = [str(w.message) for w in caught]
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, None, EXIT_OK
 
 
 def cmd_simulate(args):
-    model, _ = _build_model(args)
+    model = _build_model(args)
     result = spectral.sample_paths(
         model, args.s, args.t, args.paths, seed=args.seed, start=args.start
     )
-    payload = result.to_json_dict()
-    payload["config"] = _config_echo(args)
     rows = [(i, float(v)) for i, v in enumerate(result.empirical_law)]
-    _emit(args, payload, (["cell", "probability"], rows))
-    return EXIT_OK
+    return result.to_json_dict(), (["cell", "probability"], rows), EXIT_OK
 
 
 def cmd_count(args):
@@ -211,15 +203,13 @@ def cmd_count(args):
     N = count_points_bruteforce(curve)
     lo, hi = hasse_window(curve.q)
     payload = {
-        "config": _config_echo(args),
         "q": curve.q,
         "N": N,
         "serre_invariant": serre_invariant(curve),
         "branch_points_rational": branch_points_rational(curve),
         "hasse_window": [lo, hi],
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, None, EXIT_OK
 
 
 def cmd_hear(args):
@@ -227,46 +217,32 @@ def cmd_hear(args):
     model = build_elliptic_model(curve, args.level)
     lam0 = min(spectral.class_eigenvalues(model, args.s).values())
     N_true = count_points_bruteforce(curve)
-    payload = {
-        "config": _config_echo(args),
-        "s": float(args.s),
-        "lambda0": float(lam0),
-        "N_bruteforce": N_true,
-        "hasse_window": list(hasse_window(curve.q)),
-    }
     try:
         result = hear_points(lam0, curve.q, args.s, tolerance=args.tolerance)
     except HearingError as err:
-        payload.update(
-            {
-                "N_recovered": None,
-                "agree": False,
-                "paper_formulas": {"s1": None, "sandwich_lo": None, "sandwich_hi": None, "t0": None},
-                "notes": [f"inversion failed: {err}"],
-            }
-        )
-        _emit(args, payload)
-        return EXIT_HEARING_MISMATCH
-    payload.update(
-        {
-            "N_recovered": result.N,
-            "agree": result.N == N_true,
-            "paper_formulas": {
-                k: (None if v is None else float(v))
-                for k, v in result.paper_formulas.items()
-            },
-            "notes": result.notes,
+        payload = {
+            "s": float(args.s),
+            "lambda0": float(lam0),
+            "N_recovered": None,
+            "hasse_window": list(hasse_window(curve.q)),
+            "paper_formulas": {"s1": None, "sandwich_lo": None, "sandwich_hi": None, "t0": None},
+            "notes": [f"inversion failed: {err}"],
         }
-    )
-    _emit(args, payload)
-    if not payload["agree"]:
-        return EXIT_HEARING_MISMATCH
-    if args.strict and any(
-        "NOT contain" in note or "outside the printed interval" in note
-        for note in result.notes
-    ):
-        return EXIT_STRICT_DISCREPANCY
-    return EXIT_OK
+        code = EXIT_HEARING_MISMATCH
+    else:
+        payload = result.to_json_dict()
+        if result.N != N_true:
+            code = EXIT_HEARING_MISMATCH
+        elif args.strict and any(
+            "NOT contain" in note or "outside the printed interval" in note
+            for note in result.notes
+        ):
+            code = EXIT_STRICT_DISCREPANCY
+        else:
+            code = EXIT_OK
+    payload["N_bruteforce"] = N_true
+    payload["agree"] = payload["N_recovered"] == N_true
+    return payload, None, code
 
 
 def cmd_equalise(args):
@@ -277,7 +253,6 @@ def cmd_equalise(args):
     mismatches = check_composite_identity(F, H, psi, samples=args.samples, seed=args.seed)
     already = shift == float("-inf")
     payload = {
-        "config": _config_echo(args),
         "p": F.p,
         "dimension": F.dimension,
         "precision": F.precision,
@@ -287,8 +262,7 @@ def cmd_equalise(args):
         "composite_mismatches": mismatches,
         "equalised_map": polymap_to_json_dict(H),
     }
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, None, EXIT_OK
 
 
 # -- parser --------------------------------------------------------------------
@@ -400,7 +374,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, table, code = args.func(args)
+        payload["config"] = _config_echo(args)
+        _emit(args, payload, table)
+        return code
     except (ValueError, PAdicError, ModelError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION

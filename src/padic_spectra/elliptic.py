@@ -52,7 +52,6 @@ from .spectral import _ball_eigenvalue, _census_eigenvalues, _cross_top_parts, _
 
 __all__ = [
     "CurveSpec",
-    "EllipticModel",
     "HearingResult",
     "HypothesisError",
     "HearingError",
@@ -185,31 +184,6 @@ def branch_points_rational(curve):
     return _affine_points(curve)[1::2].count(0) == 3
 
 
-class EllipticModel(CellModel):
-    """Cell model of E(K): N fibers of measure 1/q with q-ary subdivision."""
-
-    __slots__ = ("curve", "N")
-
-    def __init__(self, curve, level, tops, rep_fn):
-        self.curve = curve
-        self.N = len(tops)
-        super().__init__(
-            f"E(q={curve.q}): y^2 = x^3 + {curve.A.code}x + {curve.B.code}",
-            curve.p,
-            curve.f,
-            1,
-            level,
-            tops,
-            (0, 1),
-            False,
-            rep_fn=rep_fn,
-        )
-
-    @property
-    def q(self):
-        return self.curve.q
-
-
 def _elliptic_rep(model, cell):
     label, point = model.tops[model.top_index_of(cell)].data
     return {
@@ -248,7 +222,10 @@ def build_elliptic_model(curve, level):
         tops.append(
             TopBall(len(tops), REGION_CHARTS[label], label, data=(label, [xc, yc]))
         )
-    return EllipticModel(curve, level, tops, _elliptic_rep)
+    return CellModel(
+        f"E(q={curve.q}): y^2 = x^3 + {curve.A.code}x + {curve.B.code}",
+        curve.p, curve.f, 1, level, tops, (0, 1), False, rep_fn=_elliptic_rep,
+    )
 
 
 # -- closed-form eigenvalues -------------------------------------------------
@@ -351,14 +328,15 @@ def _class_values(N, q, s, level):
             for ell in range(1, level) for label, charts in REGION_CHARTS.items()}
 
 
-def closed_form_discrepancies(N, q, s, level=2):
-    """Where the printed form deviates from the corrected one, per class.
+def closed_form_discrepancies(N, q, s):
+    """Where the printed form deviates from the corrected one, per class of
+    a level-2 model (one class per region, on the balls of measure 1/q).
 
     Returns a list of dicts {mu_B, region, corrected, published, delta};
     empty only if the printed constants happen to agree at this s.
     """
     out = []
-    for (ell, region), corrected in _class_values(N, q, s, level).items():
+    for (ell, region), corrected in _class_values(N, q, s, 2).items():
         mu_B = Fraction(1, q**ell)
         published = published_eigenvalue(mu_B, region, s, N, q)
         delta = published - corrected
@@ -400,9 +378,10 @@ def lambda0(source, q=None, s=2, level=2):
     return best
 
 
-def lambda0_argmin(N, q, s, level=2):
-    """All (mu_B, region) classes attaining the minimum (ties reported)."""
-    values = _class_values(N, q, s, level)
+def lambda0_argmin(N, q, s):
+    """All (mu_B, region) classes of a level-2 model attaining the minimum
+    (ties reported)."""
+    values = _class_values(N, q, s, 2)
     best = min(values.values())
     return sorted(
         (Fraction(1, q**ell), region)
@@ -436,7 +415,6 @@ class HearingResult:
             "s": float(self.s),
             "lambda0": float(self.lambda0),
             "N_recovered": self.N,
-            "method": self.method,
             "hasse_window": list(self.window),
             "paper_formulas": {
                 k: (None if v is None else float(v))
@@ -492,7 +470,10 @@ def hear_points(lambda0_value, q, s, tolerance=1e-9):
     hypotheses) and AmbiguousMatchError when two candidates match (the
     forward map is strictly monotone, so this means the tolerance is too
     loose).  The printed inversion formulas ride along as diagnostics.
+    A tolerance that is not positive and finite raises a plain ValueError.
     """
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     lo, hi = hasse_window(q)
     target = float(lambda0_value)
     candidates = []

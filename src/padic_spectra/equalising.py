@@ -24,7 +24,6 @@ import random
 
 from .padics import (
     PAdicError,
-    PAdicNumber,
     PrecisionError,
     matrix_det,
     matrix_norm,
@@ -172,20 +171,17 @@ def equalising_number_of_map(F, radius_range):
 class EqualisingPostComposition:
     """The codomain change z -> p^m z + F^{-1}(z) produced by equalise_pair.
 
-    Not a polynomial in general (it contains F^{-1}); exposes the same
-    evaluation interface as PolynomialMap.  evaluate() works modulo
-    p^precision and lifts, so feed it p-adic integers.
+    Not a polynomial in general (it contains F^{-1}); it is evaluated on
+    residues only, through residue_function.
     """
 
-    __slots__ = ("p", "dimension", "shift", "inverse", "precision", "domain")
+    __slots__ = ("p", "dimension", "shift", "inverse")
 
-    def __init__(self, p, dimension, shift, inverse, precision, domain):
+    def __init__(self, p, dimension, shift, inverse):
         self.p = p
         self.dimension = dimension
         self.shift = shift
         self.inverse = inverse
-        self.precision = precision
-        self.domain = domain
 
     def residue_function(self, k):
         inv = self.inverse.residue_function(k)
@@ -199,13 +195,6 @@ class EqualisingPostComposition:
             )
 
         return apply
-
-    def evaluate(self, point):
-        fn = self.residue_function(self.precision)
-        z = tuple(x.residue(self.precision) for x in point)
-        return tuple(
-            PAdicNumber.from_int(v, self.p, self.precision) for v in fn(z)
-        )
 
 
 def equalise_pair(F):
@@ -240,17 +229,17 @@ def equalise_pair(F):
         m = e + 1
     H = F.scale_and_add_identity(m)
     inverse = F.inverse if F.inverse is not None else NewtonInverse(F)
-    psi = EqualisingPostComposition(F.p, n, m, inverse, F.precision, F.domain)
+    psi = EqualisingPostComposition(F.p, n, m, inverse)
     return H, m, psi
 
 
-def check_composite_identity(F, H, psi, samples=100, k=None, seed=DEFAULT_SAMPLE_SEED):
-    """Number of sampled domain points where psi(F(x)) != H(x) mod p^k.
+def check_composite_identity(F, H, psi, samples=100, seed=DEFAULT_SAMPLE_SEED):
+    """Number of sampled domain points where psi(F(x)) != H(x) modulo
+    p^k, k = F.precision.
 
     Zero means the identity holds at working precision on every sample.
     """
-    if k is None:
-        k = F.precision
+    k = F.precision
     rng = random.Random(seed)
     apply_f = F.residue_function(k)
     apply_h = H.residue_function(k)

@@ -38,6 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .equalising import NOT_EQUALISING, ball_image_is_equal_radius, equalising_number_of_map
+from .fields import FiniteField
 from .polymaps import PolynomialMap
 
 __all__ = [
@@ -98,9 +99,6 @@ class NerveComplex:
                 raise ModelError("empty simplex")
             if w <= 0:
                 raise ModelError(f"nonpositive weight on {sorted(simplex)}")
-            for i in simplex:
-                if frozenset([i]) not in self._weights:
-                    raise ModelError("nerve not downward closed at vertices")
         for simplex in self._weights:
             for k in range(1, len(simplex)):
                 for sub in itertools.combinations(sorted(simplex), k):
@@ -594,7 +592,7 @@ def _projective_chart_coords(model, ball, chart, modulus_exp):
     return tuple(values[k] * inv % modulus for k in range(n + 1) if k != chart)
 
 
-def build_projective_model(p, n, level, f=1, name=None):
+def build_projective_model(p, n, level, f=1):
     """P^n over the unramified field with residue size q = p^f.
 
     Returns (CellModel, Atlas, NerveComplex).  Cells are the canonical
@@ -605,11 +603,10 @@ def build_projective_model(p, n, level, f=1, name=None):
     """
     if n not in (1, 2):
         raise ModelError("projective models are built for n in {1, 2}")
-    q = p**f
+    q = FiniteField(p, f).q
     tops = _projective_tops(q, n)
-    label = name or f"P{n}(q={q})"
     model = CellModel(
-        label, p, f, n, level, tops, tuple(range(n + 1)), True, rep_fn=_projective_rep
+        f"P{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), True, rep_fn=_projective_rep
     )
     atlas = Atlas(_projective_transitions(p, n, level + 4))
     return model, atlas, model.nerve
@@ -624,7 +621,7 @@ def build_Y_model(p, n, level, f=1):
     """
     if n not in (1, 2):
         raise ModelError("Y models are built for n in {1, 2}")
-    q = p**f
+    q = FiniteField(p, f).q
     full = frozenset(range(n + 1))
     survivors = [t for t in _projective_tops(q, n) if t.region != full]
     tops = [

@@ -313,8 +313,6 @@ def matrix_det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    if n == 2:
-        return _difference_or_zero(rows[0][0] * rows[1][1], rows[0][1] * rows[1][0])
     p = rows[0][0].p
     prec = min(entry.precision for row in rows for entry in row)
     det = PAdicNumber.zero(p, prec)

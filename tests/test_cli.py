@@ -95,6 +95,19 @@ def test_spectrum_level_one_has_no_wavelet_classes(capsys):
     assert doc["total_dimension"] == 6  # the six cells of P^1(F_5)
 
 
+@pytest.mark.parametrize("family", ["projective", "Y"])
+@pytest.mark.parametrize("f", ["0", "-1"])
+def test_model_refuses_extension_degree_below_one(capsys, family, f):
+    # f = 0 once printed a nerve with q = 1 (projective) or failed a path
+    # search (Y); f = -1 died with a TypeError traceback
+    code, out, err = run(
+        capsys, "nerve", "--model", family, "--n", "2", "--p", "5", "--f", f
+    )
+    assert code == 2
+    assert out == ""
+    assert f"extension degree must be positive, got {f}" in err
+
+
 def test_count_command(capsys):
     doc = run_json(capsys, "count", "--p", "13", "--a4", "-1", "--a6", "0")
     assert doc["N"] == 8
@@ -440,6 +453,17 @@ def test_hear_inversion_failure_exits_three(capsys, monkeypatch):
     assert doc["agree"] is False
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_hear_refuses_a_tolerance_not_positive_and_finite(capsys, tolerance):
+    # once reported as a hearing mismatch (exit 3); it is a usage error
+    code, out, err = run(
+        capsys, "hear", "--p", "13", "--a4", "6", "--a6", "6", "--tolerance", tolerance
+    )
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be positive and finite" in err
+
+
 @pytest.mark.parametrize(
     "p, a4, a6", [("13", "6", "6"), ("1009", "970", "70")]  # N = 16 and 1056
 )
@@ -488,6 +512,46 @@ def test_equalise_near_identity_map(capsys, tmp_path):
 def test_equalise_missing_file(capsys):
     code, _, err = run(capsys, "equalise", "--map", "/nonexistent/map.json")
     assert code == 2
+
+
+CURVE_ARGV = ["--p", "13", "--a4", "-1", "--a6", "0"]
+P1_ARGV = ["--model", "projective", "--n", "1", "--p", "5"]
+
+# every JSON command, hear on both branches, with the exit code expected
+CONFIG_CASES = {
+    "nerve": (["nerve", *P1_ARGV], 0),
+    "spectrum": (["spectrum", "--model", "elliptic", *CURVE_ARGV, "--s", "2"], 0),
+    "heat": (["heat", "--model", "elliptic", *CURVE_ARGV, "--t", "0.7"], 0),
+    "green": (["green", *P1_ARGV, "--s", "1.5"], 0),
+    "simulate": (["simulate", *P1_ARGV, "--t", "0.3", "--paths", "50", "--seed", "3"], 0),
+    "count": (["count", *CURVE_ARGV], 0),
+    "hear": (["hear", *CURVE_ARGV], 0),
+    "hear-failure": (["hear", *CURVE_ARGV], 3),
+    "equalise": (["equalise", "--map", "MAP", "--seed", "1"], 0),
+}
+
+
+def _no_match(lam, q, s, tolerance=1e-9):
+    raise NoMatchError("nothing fits")
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_every_json_command_echoes_its_config(capsys, monkeypatch, tmp_path, case):
+    argv, expected = CONFIG_CASES[case]
+    if case == "hear-failure":
+        monkeypatch.setattr(cli, "hear_points", _no_match)
+    if "MAP" in argv:
+        path = tmp_path / "map.json"
+        F = PolynomialMap(5, [{(1,): 3, (2,): 25}], ("disc",), 8)
+        path.write_text(json.dumps(polymap_to_json_dict(F)))
+        argv = [str(path) if a == "MAP" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == expected, err
+    config = json.loads(out)["config"]
+    assert config["command"] == argv[0]
+    assert config["format"] == "json"
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        assert str(config[flag[2:]]) == value, (flag, value)
 
 
 # sha256 of the stdout of README examples whose output depends on neither

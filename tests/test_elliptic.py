@@ -195,7 +195,7 @@ def test_model_tops_match_double_loop(curve):
     model = build_elliptic_model(curve, 2)
     tops = [(t.index, t.label, t.region, t.data) for t in model.tops]
     assert tops == _tops_by_double_loop(curve)
-    assert model.N == count_points_bruteforce(curve)
+    assert len(model.tops) == count_points_bruteforce(curve)
 
 
 def test_level_must_be_at_least_two():
@@ -344,6 +344,16 @@ def test_hearing_ambiguous_with_sloppy_tolerance():
     lam = float(lambda0(CurveSpec(13, -1, 0), s=2))
     with pytest.raises(AmbiguousMatchError):
         hear_points(lam, 13, 2, tolerance=10)
+
+
+@pytest.mark.parametrize("tolerance", [0, -1, float("nan"), float("inf")])
+def test_hearing_refuses_a_tolerance_not_positive_and_finite(tolerance):
+    # a plain ValueError, not a HearingError: the input is wrong, not the
+    # inversion (inf once made every N a candidate, the rest none)
+    lam = float(lambda0(CurveSpec(13, 6, 6), s=2))
+    with pytest.raises(ValueError, match="positive and finite") as exc:
+        hear_points(lam, 13, 2, tolerance=tolerance)
+    assert not isinstance(exc.value, HearingError)
 
 
 def test_paper_formula_diagnostics_present():

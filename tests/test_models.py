@@ -17,6 +17,7 @@ from padic_spectra.models import (
     Ball,
     DisconnectedNerveError,
     ModelError,
+    NerveComplex,
     _census_distance,
     build_projective_model,
     build_Y_model,
@@ -272,3 +273,21 @@ def test_model_json_with_cells(p1):
     model, _, _ = p1
     doc = model_to_json(model)
     assert len(doc["cells"]) == model.num_cells
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({(): 1, (0,): 1}, "empty simplex"),
+        ({(0,): 1, (1,): 0}, "nonpositive weight"),
+        ({(0,): 1, (1,): -1}, "nonpositive weight"),
+        ({(0,): 1, (0, 1): Fraction(1, 2)}, "not downward closed"),
+        ({(0,): 1, (1,): 1, (2,): 1, (0, 1): 1, (1, 2): 1, (0, 1, 2): 1},
+         "not downward closed"),
+    ],
+    ids=["empty", "zero-weight", "negative-weight", "edge-without-vertex",
+         "triangle-without-edge"],
+)
+def test_nerve_refuses_malformed_weights(weights, message):
+    with pytest.raises(ModelError, match=message):
+        NerveComplex(weights)

@@ -1,5 +1,6 @@
 """Unit tests for truncated p-adic arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,44 @@ def test_matrix_det_singular_mod_p():
     d = matrix_det(_mat([[5, 10], [10, 20]]))
     # 5*20 - 10*10 = 0; equal products cancel to an honest zero
     assert d.is_zero or d.norm() < Fraction(1, 5**4)
+
+
+def _two_by_two_det(rows):
+    """The 2 x 2 determinant as a dedicated branch once computed it: one
+    difference of products, a full cancellation collapsed to exact zero."""
+    a = rows[0][0] * rows[1][1]
+    b = rows[0][1] * rows[1][0]
+    try:
+        return a - b
+    except PrecisionError:
+        return PAdicNumber.zero(a.p, min(a.precision, b.precision))
+
+
+def _random_entry(rng, p):
+    precision = rng.randint(1, 6)
+    if rng.random() < 0.15:
+        return PAdicNumber.zero(p, precision)
+    value = rng.randrange(1, p**precision) * p ** rng.randint(0, 2)
+    return PAdicNumber.from_int(value, p, precision)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_matrix_det_two_by_two_matches_the_difference_of_products(p):
+    # the cofactor expansion covers 2 x 2 exactly, zero precision included;
+    # every third matrix has proportional rows, so its products cancel
+    rng = random.Random(p)
+    zeros = 0
+    for i in range(3000):
+        a, b, k = (_random_entry(rng, p) for _ in range(3))
+        if i % 3:
+            c, d = _random_entry(rng, p), _random_entry(rng, p)
+        else:
+            c, d = a * k, b * k
+        rows = [[a, b], [c, d]]
+        det = matrix_det(rows)
+        assert det == _two_by_two_det(rows), rows
+        zeros += det.is_zero
+    assert zeros > 1000
 
 
 def test_matrix_sub_identity():
