@@ -29,7 +29,14 @@ from .elliptic import (
     serre_invariant,
 )
 from .equalising import check_composite_identity, equalise_pair
-from .models import ModelError, _frac_str, build_projective_model, build_Y_model
+from .models import (
+    PER_CELL_OUTPUT_LIMIT,
+    ModelError,
+    _frac_str,
+    _require_cells,
+    build_projective_model,
+    build_Y_model,
+)
 from .padics import PAdicError
 from .polymaps import polymap_from_json_dict, polymap_to_json_dict
 from . import spectral
@@ -141,8 +148,10 @@ def _kernel_payload(args, model, profile, block):
     f(L), plus the --x row: entries are c B[T, T'] between tops and
     c B[T, T] + P_T[d] inside a top, so the extremes need no row, and the
     asymmetry is that of c B."""
-    if args.x is not None and not 0 <= args.x < model.num_cells:
-        raise ValueError(f"--x {args.x} out of range for {model.num_cells} cells")
+    if args.x is not None:
+        _require_cells(model, PER_CELL_OUTPUT_LIMIT, "per-cell output")
+        if not 0 <= args.x < model.num_cells:
+            raise ValueError(f"--x {args.x} out of range for {model.num_cells} cells")
     cB = block * float(model.branching)
     inner = np.diag(cB)[:, None] + profile[:, 1:]
     entries = np.concatenate([cB[~np.eye(len(cB), dtype=bool)], inner.ravel()])
@@ -191,6 +200,7 @@ def cmd_green(args):
 
 def cmd_simulate(args):
     model = _build_model(args)
+    _require_cells(model, PER_CELL_OUTPUT_LIMIT, "per-cell output")
     result = spectral.sample_paths(
         model, args.s, args.t, args.paths, seed=args.seed, start=args.start
     )

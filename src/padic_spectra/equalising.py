@@ -14,7 +14,10 @@ F into an equalising transition without moving the underlying points.
 Ball images are certified in residue arithmetic two digits below the ball
 radius: a probe modulus p^(level+2) detects any expansion and any
 contraction visible within two digits, which covers every polynomial map
-exercised here (their radius distortion is by a bounded power of p).
+exercised here (their radius distortion is by a bounded power of p).  The
+probe is exhaustive: it evaluates the map at all p^(2n) residues of the
+ball in one pass and certifies the ball when every image lies in the
+equal-radius ball around the centre's image and no two residues collide.
 """
 
 from __future__ import annotations
@@ -101,17 +104,29 @@ def _centers_for_level(F, level, rng):
 
 
 def _ball_image_is_equal_ball(apply_f, p, n, center, level, probe):
+    """One pass over the span^n residues x of the ball mod p^probe: the
+    ball maps onto the equal-radius ball around F(center) exactly when
+    every F(x) is F(center) mod p^level and no two share an image, since
+    both sides have span^n points.  Each image's digits below the ball
+    radius are marked in a bytearray, and the first image outside the
+    ball or the first collision returns False."""
     modulus = p**probe
     step = p**level
     span = p ** (probe - level)
     y0 = apply_f(center)
-    image = set()
-    target = set()
-    for t in itertools.product(range(span), repeat=n):
-        x = tuple((center[i] + step * t[i]) % modulus for i in range(n))
-        image.add(apply_f(x))
-        target.add(tuple((y0[i] + step * t[i]) % modulus for i in range(n)))
-    return image == target
+    axes = [[(center[i] + step * t) % modulus for t in range(span)] for i in range(n)]
+    seen = bytearray(span**n)
+    for x in itertools.product(*axes):
+        index = 0
+        for y, y_c in zip(apply_f(x), y0):
+            digits, off = divmod((y - y_c) % modulus, step)
+            if off:
+                return False
+            index = index * span + digits
+        if seen[index]:
+            return False
+        seen[index] = 1
+    return True
 
 
 def ball_image_is_equal_radius(F, center, level):

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 EXACT_MATRIX_CELL_LIMIT = 1500
+# cells of a per-cell CLI output: a kernel row (--x) or an empirical law
+PER_CELL_OUTPUT_LIMIT = 2**20
 
 
 class ModelError(ValueError):
@@ -373,7 +375,7 @@ class CellModel:
         Exact because every distance is an integer multiple of c^(-m).
         Guarded by a cell-count limit; dense output grows quadratically.
         """
-        _require_dense(self, max_cells)
+        _require_cells(self, max_cells)
         scale = self.branching**self.level
         per = self.cells_per_top
         ntops = len(self.tops)
@@ -467,10 +469,11 @@ def _nerve_paths(regions, sa, sb):
     return frozenset(u for u in found if not any(v < u for v in found))
 
 
-def _require_dense(model, max_cells=EXACT_MATRIX_CELL_LIMIT):
-    """Raise ModelError before a cells x cells array would be allocated."""
+def _require_cells(model, max_cells=EXACT_MATRIX_CELL_LIMIT, what="dense-matrix"):
+    """Raise ModelError before a cells x cells array (or, under another
+    limit, a per-cell array) would be allocated."""
     if model.num_cells > max_cells:
-        raise ModelError(f"{model.num_cells} cells exceeds the dense-matrix limit {max_cells}")
+        raise ModelError(f"{model.num_cells} cells exceeds the {what} limit {max_cells}")
 
 
 def _within_top_depth(model, rows):

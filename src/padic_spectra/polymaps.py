@@ -55,16 +55,14 @@ def _poly_eval_padic(coeffs, point, p, precision):
     return total
 
 
-def _poly_eval_residue(coeffs_mod, point, modulus):
+def _eval_terms(terms, point):
+    """Exact integer value of a term list at an integer point; the caller
+    reduces it once."""
     total = 0
-    for exps, c in coeffs_mod.items():
-        term = c
-        for x, e in zip(point, exps):
-            if e == 1:
-                term = term * x % modulus
-            elif e:
-                term = term * pow(x, e, modulus) % modulus
-        total = (total + term) % modulus
+    for c, variables in terms:
+        for i in variables:
+            c *= point[i]
+        total += c
     return total
 
 
@@ -153,33 +151,48 @@ class PolynomialMap:
     def residue_function(self, k):
         """A fast evaluator on integer residue tuples modulo p^k.
 
-        Valid because all coefficients are p-adic integers at sufficient
-        precision; raises PrecisionError otherwise.
+        Each component is compiled once into a term list (coefficient mod
+        p^k, variable indices repeated by exponent); a point is evaluated in
+        exact integers and reduced mod p^k once per component, which gives
+        the residue of the p-adic value.  A constant unit denominator is
+        folded into the numerator's coefficients; any other denominator is
+        evaluated and inverted per point, and raises DomainError where it is
+        not a unit.  Valid because all coefficients are p-adic integers at
+        sufficient precision; raises PrecisionError otherwise.
         """
-        modulus = self.p**k
+        p = self.p
+        modulus = p**k
         tables = []
         for numer, denom in self.components:
-            tables.append((self._residues(numer, k), self._residues(denom, k)))
+            num, den = self._terms(numer, k), self._terms(denom, k)
+            if len(den) == 1 and not den[0][1] and den[0][0] % p:
+                inv = pow(den[0][0], -1, modulus)
+                num, den = [(c * inv % modulus, v) for c, v in num], None
+            tables.append((num, den))
         inverse_memo = {}
 
         def apply(point):
             out = []
-            for num_tab, den_tab in tables:
-                num = _poly_eval_residue(num_tab, point, modulus)
-                den = _poly_eval_residue(den_tab, point, modulus)
-                inv = inverse_memo.get(den)
-                if inv is None:
-                    if den % self.p == 0:
-                        raise DomainError("denominator not a unit at this point")
-                    inv = pow(den, -1, modulus)
-                    inverse_memo[den] = inv
-                out.append(num * inv % modulus)
+            for num, den in tables:
+                value = _eval_terms(num, point)
+                if den is not None:
+                    d = _eval_terms(den, point) % modulus
+                    inv = inverse_memo.get(d)
+                    if inv is None:
+                        if d % p == 0:
+                            raise DomainError("denominator not a unit at this point")
+                        inv = pow(d, -1, modulus)
+                        inverse_memo[d] = inv
+                    value *= inv
+                out.append(value % modulus)
             return tuple(out)
 
         return apply
 
-    def _residues(self, coeffs, k):
-        out = {}
+    def _terms(self, coeffs, k):
+        """The term list of a coefficient dict modulo p^k: (coefficient
+        residue, variable indices repeated by exponent) per nonzero term."""
+        out = []
         for exps, c in coeffs.items():
             if c.is_zero:
                 continue
@@ -190,24 +203,23 @@ class PolynomialMap:
                     f"coefficient known mod p^{c.valuation + c.precision},"
                     f" need mod p^{k}"
                 )
-            out[exps] = c.residue(k)
+            residue = c.residue(k)
+            if residue:
+                out.append((residue, tuple(i for i, e in enumerate(exps) for _ in range(e))))
         return out
 
     def jacobian_residue_function(self, k):
-        """Evaluator returning the Jacobian matrix mod p^k (polynomial maps only)."""
+        """Evaluator returning the Jacobian matrix mod p^k (polynomial maps
+        only), from compiled term lists of the partial derivatives."""
         self._require_polynomial()
         modulus = self.p**k
-        rows = []
-        for numer, _ in self.components:
-            rows.append(
-                [self._residues(_poly_derivative(numer, j), k) for j in range(self.dimension)]
-            )
+        rows = [
+            [self._terms(_poly_derivative(numer, j), k) for j in range(self.dimension)]
+            for numer, _ in self.components
+        ]
 
         def apply(point):
-            return [
-                [_poly_eval_residue(entry, point, modulus) for entry in row]
-                for row in rows
-            ]
+            return [[_eval_terms(entry, point) % modulus for entry in row] for row in rows]
 
         return apply
 

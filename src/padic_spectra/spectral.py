@@ -29,13 +29,15 @@ reference (`assemble_operator`); dense kernels refuse large models.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 
 from .fields import additive_character_table
-from .models import EXACT_MATRIX_CELL_LIMIT, ModelError, _require_dense
+from .models import EXACT_MATRIX_CELL_LIMIT, ModelError, _require_cells
 from .models import _region_table, _within_top_depth
 
 __all__ = [
@@ -197,11 +199,27 @@ def wavelet_eigenvalue_numeric(model, ball, s, exact=None):
     return total
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _power(base, exponent, exact):
-    """base^exponent: an exact Fraction (integral exponent) or a float."""
+    """base^exponent: an exact Fraction (integral exponent) or a float.
+
+    Raises ValueError before forming a power whose float value would
+    overflow, or, exact, whose numerator or denominator would exceed the
+    largest float; a float power that underflows is 0.0.
+    """
     if exact:
-        return Fraction(base) ** int(exponent)
-    return float(base) ** float(exponent)
+        base = Fraction(base)
+        size = abs(exponent) * math.log(max(abs(base.numerator), base.denominator))
+    else:
+        base = float(base)
+        size = exponent * math.log(abs(base)) if base else 0.0
+    if size > _LOG_FLOAT_MAX:
+        raise ValueError(f"exponent s too large: ({base})^({exponent}) exceeds the float range")
+    if exact:
+        return base ** int(exponent)
+    return base ** float(exponent)
 
 
 def _cross_top_parts(census, table, c, s, exact):
@@ -459,7 +477,7 @@ def heat_kernel(model, s, t, paper_constant_term=False, complement=True):
     either; rows then integrate to mu(X), not 1.  Models above the
     dense-matrix cell limit raise ModelError.
     """
-    _require_dense(model)
+    _require_cells(model)
     weights, block = _heat_parts(model, s, t, paper_constant_term, complement)
     return _kernel_rows(model, weights, block, np.arange(model.num_cells))
 
@@ -474,7 +492,7 @@ def green_function(model, s, complement=True):
     with the level (the continuum object diverges); a warning says so.
     Models above the dense-matrix cell limit raise ModelError.
     """
-    _require_dense(model)
+    _require_cells(model)
     weights, block = _green_parts(model, s, complement)
     return _kernel_rows(model, weights, block, np.arange(model.num_cells))
 

@@ -1,7 +1,12 @@
 """Shared test plumbing: collects acceptance-criterion result lines and
-prints them as a summary section at the end of the run."""
+prints them as a summary section at the end of the run, and gives child
+interpreters an environment that imports this checkout."""
+
+import os
 
 import pytest
+
+import padic_spectra
 
 _criterion_lines = []
 
@@ -12,6 +17,14 @@ def criterion_log():
         _criterion_lines.append(line)
 
     return log
+
+
+@pytest.fixture
+def child_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(padic_spectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def pytest_terminal_summary(terminalreporter):

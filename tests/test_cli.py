@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -598,15 +597,56 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 """
 
 
-def test_readme_examples_load_no_scipy():
+def test_readme_examples_load_no_scipy(child_env):
     # a fresh interpreter: the test process itself has scipy loaded
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
         [sys.executable, "-c", _RUN_WITHOUT_SCIPY, json.dumps(README_EXAMPLES)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=child_env, timeout=120, check=True,
     )
     codes, loaded = json.loads(done.stdout)
     assert codes == [0] * len(README_EXAMPLES)
     assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--model", "projective", "--n", "1", "--p", "5", "--s", "1e9"),
+     ("hear", "--p", "13", "--a4", "6", "--a6", "6", "--s", "1e9"),
+     ("heat", "--model", "projective", "--n", "1", "--p", "5", "--s", "1e9", "--t", "1"),
+     ("green", "--model", "projective", "--n", "1", "--p", "5", "--s", "1e9"),
+     ("spectrum", "--model", "projective", "--n", "1", "--p", "5", "--s", "100000",
+      "--level", "3")],
+    ids=["spectrum-1e9", "hear-1e9", "heat-1e9", "green-1e9", "spectrum-1e5-level3"],
+)
+def test_exponent_past_the_float_range_exits_two(child_env, argv):
+    # in a child with a timeout: before the check, spectrum and hear did not
+    # return and heat, green and the level-3 spectrum died with OverflowError
+    done = subprocess.run(
+        [sys.executable, "-m", "padic_spectra.cli", *argv],
+        capture_output=True, text=True, env=child_env, timeout=30,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "exponent s too large" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["heat", "green", "simulate"])
+def test_per_cell_output_past_its_limit_exits_two(capsys, command):
+    # P2(5) at level 5: 12109375 cells, past the 2^20-cell per-cell limit
+    argv = [command, "--model", "projective", "--n", "2", "--p", "5", "--level", "5"]
+    extra = {
+        "heat": ["--t", "0.5", "--x", "0"],
+        "green": ["--x", "0"],
+        "simulate": ["--t", "0.001", "--paths", "1000", "--seed", "1"],
+    }[command]
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2
+    assert out == ""
+    assert "12109375 cells exceeds the per-cell output limit 1048576" in err
+
+
+def test_kernel_summary_runs_past_the_per_cell_limit(capsys):
+    doc = run_json(capsys, "heat", "--model", "projective", "--n", "2", "--p", "5",
+                   "--level", "5", "--t", "0.5")
+    assert doc["mass_max_deviation"] < 1e-9
+    assert "row" not in doc

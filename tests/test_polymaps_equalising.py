@@ -6,6 +6,7 @@ over all ball centers at levels 0..3 with a two-digit certification margin,
 independently of the library (see the per-map notes).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 
 from padic_spectra.equalising import (
     NOT_EQUALISING,
+    _ball_image_is_equal_ball,
     ball_image_is_equal_radius,
     check_composite_identity,
     equalise_pair,
@@ -27,8 +29,10 @@ from padic_spectra.padics import (
 )
 from padic_spectra.polymaps import (
     POLYMAP_SCHEMA,
+    DomainError,
     NewtonInverse,
     PolynomialMap,
+    _poly_derivative,
     identity_map,
     polymap_from_json_dict,
     polymap_to_json_dict,
@@ -202,3 +206,248 @@ def test_json_rejects_unknown_schema():
     doc["schema"] = "something-else"
     with pytest.raises(ValueError):
         polymap_from_json_dict(doc)
+
+
+# -- the compiled evaluators and the one-pass probe against the old code ------
+#
+# Test-local copies of the per-point residue evaluator and of the two-set ball
+# probe that the compiled term lists and the one-pass probe replaced.
+
+
+def _old_poly_eval_residue(coeffs_mod, point, modulus):
+    total = 0
+    for exps, c in coeffs_mod.items():
+        term = c
+        for x, e in zip(point, exps):
+            if e == 1:
+                term = term * x % modulus
+            elif e:
+                term = term * pow(x, e, modulus) % modulus
+        total = (total + term) % modulus
+    return total
+
+
+def _old_residues(coeffs, k):
+    return {exps: c.residue(k) for exps, c in coeffs.items() if not c.is_zero}
+
+
+def _old_residue_function(F, k):
+    modulus = F.p**k
+    tables = [(_old_residues(numer, k), _old_residues(denom, k)) for numer, denom in F.components]
+
+    def apply(point):
+        out = []
+        for num_tab, den_tab in tables:
+            num = _old_poly_eval_residue(num_tab, point, modulus)
+            den = _old_poly_eval_residue(den_tab, point, modulus)
+            if den % F.p == 0:
+                raise DomainError("denominator not a unit at this point")
+            out.append(num * pow(den, -1, modulus) % modulus)
+        return tuple(out)
+
+    return apply
+
+
+def _old_jacobian_residue_function(F, k):
+    modulus = F.p**k
+    rows = [[_old_residues(_poly_derivative(numer, j), k) for j in range(F.dimension)]
+            for numer, _ in F.components]
+    return lambda point: [[_old_poly_eval_residue(e, point, modulus) for e in row]
+                          for row in rows]
+
+
+def _old_ball_probe(apply_f, p, n, center, level, probe):
+    modulus = p**probe
+    step = p**level
+    span = p ** (probe - level)
+    y0 = apply_f(center)
+    image = set()
+    target = set()
+    for t in itertools.product(range(span), repeat=n):
+        x = tuple((center[i] + step * t[i]) % modulus for i in range(n))
+        image.add(apply_f(x))
+        target.add(tuple((y0[i] + step * t[i]) % modulus for i in range(n)))
+    return image == target
+
+
+def _outcome(apply, point):
+    try:
+        return apply(point)
+    except DomainError:
+        return DomainError
+
+
+def _random_poly(rng, p, n, terms, unit_constant=None):
+    coeffs = {}
+    for _ in range(terms):
+        exps = tuple(rng.randrange(4) for _ in range(n))
+        coeffs[exps] = rng.choice([
+            rng.randrange(-p**8, p**8),
+            Fraction(rng.randrange(1, p**4), rng.choice([1, 2, 3, 4, 6]) + p * rng.randrange(5)),
+            0,
+        ])
+    if unit_constant is not None:
+        coeffs[(0,) * n] = unit_constant
+    return coeffs
+
+
+def _evaluator_cases():
+    rng = random.Random(4112)
+    cases = []
+    for p in (5, 7):
+        for n in (1, 2, 3):
+            domain = (("disc", "sphere", "disc") if p == 5 else ("sphere", "disc", "sphere"))[:n]
+            slot = domain.index("sphere") if "sphere" in domain else None
+            on_sphere = {tuple(int(j == slot) for j in range(n)): 1} if slot is not None else None
+            polys = [_random_poly(rng, p, n, 5) for _ in range(n)]
+            denominators = [
+                {(0,) * n: Fraction(3, 2)},  # constant unit
+                _random_poly(rng, p, n, 3, unit_constant=1 + p),  # non-constant, a unit
+                on_sphere or {(0,) * n: 1},  # a sphere coordinate, a unit
+                {(0,) * n: p},  # constant, not a unit
+                _random_poly(rng, p, n, 3, unit_constant=p),  # a unit at some points only
+            ]
+            cases.append(PolynomialMap(p, polys, domain, 8))
+            cases.append(PolynomialMap(p, list(zip(polys, denominators)), domain, 8))
+            cases.append(PolynomialMap(p, [(polys[0], denominators[len(cases) % 5])] + polys[1:],
+                                       domain, 8))
+    return cases
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_compiled_residue_function_matches_the_per_point_evaluator(index):
+    F = _evaluator_cases()[index]
+    rng = random.Random(index)
+    for k in range(1, 9):
+        new, old = F.residue_function(k), _old_residue_function(F, k)
+        modulus = F.p**k
+        for _ in range(60):
+            x = tuple(rng.randrange(3 * modulus) for _ in range(F.dimension))
+            assert _outcome(new, x) == _outcome(old, x)
+        for x in itertools.islice(F.ball_centers(min(k, 2)), 40):
+            assert _outcome(new, x) == _outcome(old, x)
+
+
+def test_constant_non_unit_denominator_raises_on_every_point():
+    F = PolynomialMap(5, [({(1,): 1}, {(0,): 10})], ("disc",), 8)
+    apply_f = F.residue_function(3)
+    for x in range(0, 125, 7):
+        with pytest.raises(DomainError):
+            apply_f((x,))
+
+
+@pytest.mark.parametrize("index", range(0, 18, 3))
+def test_compiled_jacobian_matches_the_per_point_evaluator(index):
+    F = _evaluator_cases()[index]
+    rng = random.Random(index)
+    for k in range(1, 9):
+        new, old = F.jacobian_residue_function(k), _old_jacobian_residue_function(F, k)
+        for _ in range(40):
+            x = tuple(rng.randrange(2 * F.p**k) for _ in range(F.dimension))
+            assert new(x) == old(x)
+
+
+def _int_det(A):
+    if len(A) == 1:
+        return A[0][0]
+    return sum((-1) ** j * A[0][j] * _int_det([row[:j] + row[j + 1:] for row in A[1:]])
+               for j in range(len(A)))
+
+
+def _far_from_identity_map(rng, n, p=5):
+    """The benchmark's seeded map: a unit-determinant linear part far from
+    I plus one small quadratic term per component."""
+    while True:
+        A = [[rng.randrange(p**4) for _ in range(n)] for _ in range(n)]
+        if _int_det(A) % p and any(
+            (A[i][j] - (i == j)) % p for i in range(n) for j in range(n)
+        ):
+            break
+    comps = []
+    for i in range(n):
+        coeffs = {tuple(int(k == j) for k in range(n)): A[i][j] for j in range(n)}
+        e = [0] * n
+        e[rng.randrange(n)] += 1
+        e[rng.randrange(n)] += 1
+        coeffs[tuple(e)] = coeffs.get(tuple(e), 0) + p**2 * rng.randrange(p**2)
+        comps.append(coeffs)
+    return PolynomialMap(p, comps, ("disc",) * n, 8)
+
+
+def _probe_maps():
+    rng = random.Random(2718)
+    maps = {}
+    for n in (1, 2, 3):
+        F = _far_from_identity_map(rng, n)
+        maps[f"far-dim{n}"] = F
+        maps[f"repaired-dim{n}"] = equalise_pair(F)[0]
+    maps["p-x"] = _map1({(1,): 5})
+    maps["x-squared"] = _map1({(2,): 1})
+    maps["inverse-on-sphere"] = PolynomialMap(5, [({(0,): 1}, {(1,): 1})], ("sphere",), 8)
+    return maps
+
+
+def _probe_balls(F, rng):
+    """Every ball at levels 0-2 in dimension 1, every ball at levels 0-1
+    and 8 seeded ones at level 2 in dimension 2, and the level-0 ball plus
+    2 seeded balls at each of levels 1 and 2 in dimension 3 (an exhaustive
+    dim-3 ball costs the two-set copy about 0.2 s)."""
+    sampled = {1: {}, 2: {2: 8}, 3: {1: 2, 2: 2}}[F.dimension]
+    balls = []
+    for level in (0, 1, 2):
+        centers = list(F.ball_centers(level))
+        if level in sampled:
+            centers = rng.sample(centers, sampled[level])
+        balls += [(c, level) for c in centers]
+    return balls
+
+
+@pytest.mark.parametrize("name", list(_probe_maps()))
+def test_one_pass_probe_matches_the_two_set_probe(name):
+    F = _probe_maps()[name]
+    rng = random.Random(name)
+    answers = set()
+    for center, level in _probe_balls(F, rng):
+        probe = level + 2
+        expected = _old_ball_probe(
+            _old_residue_function(F, probe), F.p, F.dimension, center, level, probe
+        )
+        assert ball_image_is_equal_radius(F, center, level) == expected, (center, level)
+        answers.add((level, expected))
+    if name == "p-x":
+        assert answers == {(0, False), (1, False), (2, False)}
+    if name.startswith("repaired"):
+        assert all(ok for level, ok in answers if level)
+    if name == "x-squared":
+        # singular Jacobian mod p at centres = 0: that ball is not injective
+        assert not ball_image_is_equal_radius(F, (0,), 1)
+        assert not ball_image_is_equal_radius(F, (0,), 2)
+        assert ball_image_is_equal_radius(F, (1,), 1)
+
+
+def _digit_map(p, probe, leave):
+    """A bijection of residues mod p^probe on base-p digits: leave=True adds
+    digit 1 to digit 0 mod p, so points leave their level-1 ball while the
+    digits above stay distinct; leave=False reverses the digits from 1
+    upward, which keeps each level-1 ball."""
+    modulus = p**probe
+
+    def apply(x):
+        digits = [x[0] // p**i % p for i in range(probe)]
+        if leave:
+            digits[0] = (digits[0] + digits[1]) % p
+        else:
+            digits[1:] = digits[:0:-1]
+        return (sum(d * p**i for i, d in enumerate(digits)) % modulus,)
+
+    return apply
+
+
+@pytest.mark.parametrize("leave", [True, False])
+def test_one_pass_probe_on_images_outside_the_ball(leave):
+    p, level, probe = 5, 1, 3
+    apply_f = _digit_map(p, probe, leave)
+    for c in range(p):
+        expected = _old_ball_probe(apply_f, p, 1, (c,), level, probe)
+        assert _ball_image_is_equal_ball(apply_f, p, 1, (c,), level, probe) == expected
+        assert expected is not leave

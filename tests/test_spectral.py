@@ -8,6 +8,8 @@ the library's reduced block comes from its region quotient, and the dense
 `reduced_operator` with scipy's `expm` is the oracle it is checked against.
 """
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -805,3 +807,71 @@ def test_green_rows_integrate_to_zero(e13_model):
     mu = float(e13_model.cell_measure)
     G = spectral.green_function(e13_model, 2)
     assert np.abs((G * mu).sum(axis=1)).max() < 1e-9
+
+
+# -- exponents past the float range -------------------------------------------------
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_power_refuses_exactly_what_would_pass_the_float_range(exact):
+    for base in (5, Fraction(1, 7), Fraction(6, 5)):
+        for e in range(-460, 461):
+            try:
+                expected = float(base) ** e
+                if exact and max(base.numerator, base.denominator) ** abs(e) > sys.float_info.max:
+                    expected = ValueError
+            except OverflowError:
+                expected = ValueError
+            try:
+                got = spectral._power(base, e, exact)
+            except ValueError as err:
+                assert "exponent s" in str(err)
+                got = ValueError
+            if expected is ValueError:
+                assert got is ValueError, (base, e)
+            else:
+                assert got == (Fraction(base) ** e if exact else expected), (base, e)
+
+
+def test_power_underflow_is_still_zero():
+    assert spectral._power(5, -1e9, False) == 0.0
+    assert spectral._power(Fraction(1, 5), 1e9, False) == 0.0
+
+
+_HUGE_EXPONENT_CALLS = """
+from fractions import Fraction
+from padic_spectra import spectral
+from padic_spectra.elliptic import CurveSpec, build_elliptic_model
+from padic_spectra.models import build_projective_model
+P1 = build_projective_model(5, 1, 3)[0]
+E13 = build_elliptic_model(CurveSpec(13, 6, 6), 2)
+calls = [
+    lambda: spectral._power(5, 10**9, True),
+    lambda: spectral._power(Fraction(1, 5), 10**9, True),
+    lambda: spectral._power(5, 1e9, False),
+    lambda: spectral.class_eigenvalues(P1, 10**9),
+    lambda: spectral.class_eigenvalues(P1, 1e9),
+    lambda: spectral.class_eigenvalues(E13, 10**9),
+    lambda: spectral.enumerate_spectrum(P1, 100000),
+    lambda: spectral._heat_parts(P1, 1e9, 1.0, False, True),
+    lambda: spectral._green_parts(P1, 1e9, True),
+]
+for call in calls:
+    try:
+        call()
+    except ValueError as err:
+        print("exponent s" in str(err))
+    else:
+        print("returned")
+"""
+
+
+def test_huge_exponents_raise_value_error_at_once(child_env):
+    # in a child with a timeout: before the check, the exact path formed
+    # powers with exponents near 1e9 and did not return
+    done = subprocess.run(
+        [sys.executable, "-c", _HUGE_EXPONENT_CALLS], capture_output=True, text=True,
+        env=child_env, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"] * 9
