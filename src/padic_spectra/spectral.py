@@ -29,6 +29,7 @@ reference (`assemble_operator`); dense kernels refuse large models.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -71,17 +72,19 @@ def assemble_operator(model, s, exact=False, max_cells=EXACT_MATRIX_CELL_LIMIT):
     """Dense operator matrix: off-diagonal -d^(-s) mu(y), zero row sums.
 
     Float64 by default; with exact=True (integer s only) the entries are
-    Fractions in an object array, exact at every step.
+    Fractions in an object array, exact at every step.  One rate per
+    distinct distance, each through `_power`, so an exponent past the
+    float range raises ValueError on both paths.
     """
     if exact and not _is_integral(s):
         raise ValueError("exact assembly needs an integer exponent s")
     D, unit = model.distance_matrix(max_cells=max_cells)
     mu = model.cell_measure
-    if exact:
-        rates = {v: Fraction(unit.denominator, int(v)) ** int(s) * mu for v in np.unique(D)}
-        W = np.vectorize(rates.__getitem__, otypes=[object])(D)
-    else:
-        W = (D.astype(np.float64) * float(unit)) ** (-float(s)) * float(mu)
+    if not exact:
+        unit, mu = float(unit), float(mu)
+    values, where = np.unique(D.ravel(), return_inverse=True)
+    rates = [_power(v * unit, -s, exact) * mu for v in values.tolist()]
+    W = np.array(rates, dtype=object if exact else np.float64)[where.reshape(D.shape)]
     np.fill_diagonal(W, 0)
     L = -W
     np.fill_diagonal(L, W.sum(axis=1))
@@ -606,7 +609,7 @@ class SimulationResult:
             },
             "first_holding_mean": float(np.mean(self.first_holding)),
             "mean_holding": self.mean_holding,
-            "empirical_law": [float(x) for x in self.empirical_law],
+            "empirical_law": self.empirical_law.tolist(),
             "trajectories": self.trajectories,
         }
 
@@ -626,7 +629,14 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     law, which is stationary.  Fully deterministic given the seed.  The
     first few trajectories are kept as (time, cell) lists; the untruncated
     first holding time of every path is kept for rate checks against the
-    generator diagonal.
+    generator diagonal.  More than 2,000,000 jumps, counted over all paths
+    together, raise RuntimeError.
+
+    Working set: the three per-path results (final cell, jump count, first
+    holding time) and the live paths alone (index, cell and clock, compacted
+    each round as paths stop), plus one round's draws and their temporaries.
+    A stopped path writes its final cell and jump count once; its clock is
+    dropped.
     """
     if seed is None:
         raise ValueError("a seed is required; sampling must be reproducible")
@@ -646,66 +656,76 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     width = table.shape[1]
     # the per-top rows laid end to end, row i shifted into [i, i + 1]
     flat = (cum / rates[:, None] + np.arange(ntops)[:, None]).ravel()
-    last = width - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+    # the flat index of each row's last nonzero rate
+    last = (np.arange(ntops) + 1) * width - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
     child_width = np.array([c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
     sizes = np.array([(c - 1) * c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
+    scale = 1.0 / rates
     n = model.num_cells
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+    def jump(cells):
+        """Move the paths at these cells by one jump each, in place: an
+        annulus of x's row by its rate, then a uniform cell in it.  Its
+        temporaries are freed on return, before the next round's draws."""
+        hit = rng.random(cells.size)
+        hit += cells // per
+        hit = np.searchsorted(flat, hit, side="right")
+        np.minimum(hit, last[cells // per], out=hit)  # u + top can round up to top + 1
+        hit %= width  # the annulus: a column of x's row
+        r = rng.integers(0, sizes[hit])
+        # shell: another child of x's depth-j ball; else: a cell of top T'
+        cw = child_width[hit]
+        off = cells % (cw * c)  # x's place in its depth-j ball (cw * c divides per)
+        cells -= off
+        off -= off % cw  # where x's own child starts
+        r += ((r >= off) & (hit < m - 1)) * cw  # skip x's own child
+        across = hit >= m - 1
+        cells[across] = (hit[across] - (m - 1)) * per
+        cells += r
+
     if start is None:
-        states = rng.integers(0, n, size=n_paths)
+        final_cells = rng.integers(0, n, size=n_paths)
     else:
         if not 0 <= start < n:
             raise ValueError(f"start cell {start} out of range")
-        states = np.full(n_paths, start, dtype=np.int64)
-    clocks = np.zeros(n_paths)
-    jumps = np.zeros(n_paths, dtype=np.int64)
-    first_holding = None
+        final_cells = np.full(n_paths, start, dtype=np.int64)
+    jumps = np.empty(n_paths, dtype=np.int64)
     store = min(max_store, n_paths)
     # (paths, clocks, cells) of the stored paths' jumps, one entry per round
-    kept = [(np.arange(store), np.zeros(store), states[:store].copy())]
-    alive = np.ones(n_paths, dtype=bool)
+    kept = [(np.arange(store), np.zeros(store), final_cells[:store].copy())]
+    # the live paths: index (ascending), cell and clock.  Every live path
+    # jumps or stops in each round, so one live in round k has jumped k times.
+    live = np.arange(n_paths)
+    cells = final_cells  # the first compaction copies it
+    first_holding = clocks = rng.exponential(scale[cells // per])  # clocks start at 0
     total_steps = 0
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        waits = rng.exponential(1.0 / rates[states[idx] // per])
-        if first_holding is None:
-            first_holding = waits.copy()
-        landed = clocks[idx] + waits
-        done = landed >= t_max
-        clocks[idx] = np.where(done, t_max, landed)
-        alive[idx[done]] = False
-        movers = idx[~done]
-        if movers.size:
-            cells = states[movers]
-            top = cells // per
-            # u + top can round up to top + 1: clamp to the row's last nonzero rate
-            hit = np.searchsorted(flat, rng.random(movers.size) + top, side="right")
-            hit = np.minimum(hit - top * width, last[top])
-            r = rng.integers(0, sizes[hit])
-            # shell: another child of x's depth-j ball; else: a cell of top T'
-            local = cells % per
-            cw = child_width[hit]
-            child = r // cw
-            child += child >= local // cw % c
-            inside = cells - local % (cw * c) + child * cw + r % cw
-            states[movers] = np.where(hit < m - 1, inside, (hit - (m - 1)) * per + r)
-            jumps[movers] += 1
-            stored = movers[: np.searchsorted(movers, store)]
-            kept.append((stored, clocks[stored], states[stored]))
-        total_steps += movers.size
+    for k in itertools.count():
+        done = clocks >= t_max
+        final_cells[live[done]] = cells[done]
+        jumps[live[done]] = k
+        running = ~done
+        live, cells, clocks = live[running], cells[running], clocks[running]
+        if not live.size:
+            break
+        jump(cells)
+        stored = np.searchsorted(live, store)
+        kept.append(tuple(a[:stored].copy() for a in (live, clocks, cells)))
+        total_steps += live.size
         if total_steps > _rate_cap_steps:
             raise RuntimeError(
                 f"simulation exceeded {_rate_cap_steps} jumps; t_max too"
                 " large for these rates"
             )
+        clocks += rng.exponential(scale[cells // per])
     paths, times, visited = (np.concatenate(parts) for parts in zip(*kept))
     order = np.argsort(paths, kind="stable")  # rounds stay in time order
     steps = list(zip(times[order].tolist(), visited[order].tolist()))
     ends = np.cumsum(np.bincount(paths, minlength=store)).tolist()
     trajectories = [steps[a:b] for a, b in zip([0] + ends, ends)]
-    law = np.bincount(states, minlength=n).astype(np.float64) / n_paths
+    law = np.bincount(final_cells, minlength=n).astype(np.float64) / n_paths
     mean_holding = float(n_paths * t_max / (jumps.sum() + n_paths))
     return SimulationResult(
-        model.name, s, t_max, seed, states, law, jumps, first_holding,
+        model.name, s, t_max, seed, final_cells, law, jumps, first_holding,
         mean_holding, trajectories
     )

@@ -282,6 +282,23 @@ def test_kernel_summary_builds_no_row_per_top(capsys, command):
     assert peak < 32e6
 
 
+def test_simulate_json_builds_no_per_cell_csv_rows(tmp_path):
+    # P1(5) at level 8 has 468750 cells: a (cell, probability) row list
+    # beside the JSON law took the traced peak past 100 MB
+    argv = ["simulate", "--model", "projective", "--n", "1", "--p", "5", "--level", "8",
+            "--t", "0.001", "--paths", "1000", "--seed", "1",
+            "--output", str(tmp_path / "sim.json")]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads((tmp_path / "sim.json").read_text())["empirical_law"]) == 468750
+    assert peak < 70e6, peak
+
+
 @pytest.mark.parametrize("command", ["heat", "green", "simulate"])
 def test_kernels_and_sampler_past_the_dense_limit(capsys, command):
     # P2(5) at level 3: 19375 cells, far past the 1500-cell dense limit
@@ -367,15 +384,16 @@ def test_simulate_requires_seed(capsys):
 
 
 def test_simulate_csv_is_the_law_table(capsys):
-    code, out, _ = run(
-        capsys, "simulate", "--model", "elliptic", "--p", "13", "--a4", "-1",
-        "--a6", "0", "--t", "0.5", "--paths", "50", "--seed", "1",
-        "--format", "csv",
-    )
+    argv = ["simulate", "--model", "elliptic", "--p", "13", "--a4", "-1", "--a6", "0",
+            "--t", "0.5", "--paths", "50", "--seed", "1"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "cell,probability"
     assert len(lines) == 105
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(cell) for cell, _ in rows] == list(range(104))
+    assert [float(p) for _, p in rows] == run_json(capsys, *argv)["empirical_law"]
 
 
 @pytest.mark.parametrize(

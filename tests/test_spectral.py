@@ -10,6 +10,7 @@ the library's reduced block comes from its region quotient, and the dense
 
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,12 @@ import scipy.linalg
 
 from padic_spectra import builtin_models, spectral
 from padic_spectra.elliptic import CurveSpec, build_elliptic_model
-from padic_spectra.models import ModelError, _region_table, build_projective_model
+from padic_spectra.models import (
+    ModelError,
+    _region_table,
+    build_projective_model,
+    build_Y_model,
+)
 
 # dense eigvalsh of the s=2 operator on P1(F_5) at level 2, independent run
 P1_DENSE_SPECTRUM = [
@@ -101,6 +107,15 @@ def test_exact_and_float_operators_agree(e13_model):
     sample = [(0, 0), (0, 1), (0, 13), (5, 90), (103, 103)]
     for i, j in sample:
         assert Lf[i, j] == pytest.approx(float(Le[i, j]), rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [2000, 10**9])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_dense_operator_refuses_an_exponent_past_the_float_range(p1_model, exact, s):
+    # rates formed outside the exponent guard: the float path warned of
+    # overflow and held inf, the exact path did not return at s = 10^9
+    with pytest.raises(ValueError, match="exponent s too large"):
+        spectral.assemble_operator(p1_model, s, exact=exact)
 
 
 def test_operator_cell_limit():
@@ -519,10 +534,13 @@ def test_sample_paths_law_is_a_distribution(e13_model):
 
 
 def test_sample_paths_step_cap(e13_model):
-    with pytest.raises(RuntimeError):
-        spectral.sample_paths(
-            e13_model, 2, 50.0, 500, seed=3, _rate_cap_steps=10
-        )
+    # the same error and message as the gathering sampler's
+    errors = []
+    for sampler in (spectral.sample_paths, _gathering_sample_paths):
+        with pytest.raises(RuntimeError) as caught:
+            sampler(e13_model, 2, 50.0, 500, seed=3, _rate_cap_steps=10)
+        errors.append(str(caught.value))
+    assert errors == ["simulation exceeded 10 jumps; t_max too large for these rates"] * 2
 
 
 def _reference_trajectories(model, s, t_max, n_paths, seed, max_store):
@@ -578,6 +596,137 @@ def test_stored_trajectories_match_per_jump_appends(max_store):
     assert len(r.trajectories) == min(max_store, n_paths)
     assert r.trajectories == ref
     assert sum(len(path) - 1 for path in ref) > 3 * len(ref)  # several jumps a path
+
+
+def _gathering_sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
+                            _rate_cap_steps=2_000_000):
+    """The sampler before it carried only its live paths: each round gathers
+    the live paths' cells and clocks from arrays over all paths."""
+    c, m, per = model.branching, model.level, model.cells_per_top
+    ntops = len(model.tops)
+    shells = [spectral._shell_rate(j, c, s, False) for j in range(1, m)]
+    table = np.hstack([np.tile(shells, (ntops, 1)), -spectral.reduced_operator(model, s)])
+    np.fill_diagonal(table[:, m - 1 :], 0.0)
+    cum = np.cumsum(table, axis=1)
+    rates = cum[:, -1]
+    width = table.shape[1]
+    flat = (cum / rates[:, None] + np.arange(ntops)[:, None]).ravel()
+    last = width - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
+    child_width = np.array([c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
+    sizes = np.array([(c - 1) * c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
+    n = model.num_cells
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if start is None:
+        states = rng.integers(0, n, size=n_paths)
+    else:
+        states = np.full(n_paths, start, dtype=np.int64)
+    clocks = np.zeros(n_paths)
+    jumps = np.zeros(n_paths, dtype=np.int64)
+    first_holding = None
+    store = min(max_store, n_paths)
+    kept = [(np.arange(store), np.zeros(store), states[:store].copy())]
+    alive = np.ones(n_paths, dtype=bool)
+    total_steps = 0
+    while alive.any():
+        idx = np.nonzero(alive)[0]
+        waits = rng.exponential(1.0 / rates[states[idx] // per])
+        if first_holding is None:
+            first_holding = waits.copy()
+        landed = clocks[idx] + waits
+        done = landed >= t_max
+        clocks[idx] = np.where(done, t_max, landed)
+        alive[idx[done]] = False
+        movers = idx[~done]
+        if movers.size:
+            cells = states[movers]
+            top = cells // per
+            hit = np.searchsorted(flat, rng.random(movers.size) + top, side="right")
+            hit = np.minimum(hit - top * width, last[top])
+            r = rng.integers(0, sizes[hit])
+            local = cells % per
+            cw = child_width[hit]
+            child = r // cw
+            child += child >= local // cw % c
+            inside = cells - local % (cw * c) + child * cw + r % cw
+            states[movers] = np.where(hit < m - 1, inside, (hit - (m - 1)) * per + r)
+            jumps[movers] += 1
+            stored = movers[: np.searchsorted(movers, store)]
+            kept.append((stored, clocks[stored], states[stored]))
+        total_steps += movers.size
+        if total_steps > _rate_cap_steps:
+            raise RuntimeError(
+                f"simulation exceeded {_rate_cap_steps} jumps; t_max too"
+                " large for these rates"
+            )
+    paths, times, visited = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.argsort(paths, kind="stable")
+    steps = list(zip(times[order].tolist(), visited[order].tolist()))
+    ends = np.cumsum(np.bincount(paths, minlength=store)).tolist()
+    trajectories = [steps[a:b] for a, b in zip([0] + ends, ends)]
+    law = np.bincount(states, minlength=n).astype(np.float64) / n_paths
+    mean_holding = float(n_paths * t_max / (jumps.sum() + n_paths))
+    return spectral.SimulationResult(
+        model.name, s, t_max, seed, states, law, jumps, first_holding,
+        mean_holding, trajectories
+    )
+
+
+# every built-in model, the benchmark's diffusion models at their horizons
+# (about two jumps a path) and Y2(5) m3
+SAMPLER_CASES = [(label, 0.05) for label, _ in builtin_models()] + [
+    ("E/F_13 level 2", 0.15), ("P1(5) level 4", 0.024), ("P2(5) level 2", 0.075),
+    ("E/F_13 level 3", 0.011), ("Y2(5) level 3", 0.005),
+]
+
+
+@pytest.fixture(scope="module")
+def sampler_models():
+    models = dict(builtin_models())
+    models["P1(5) level 4"] = build_projective_model(5, 1, 4)[0]
+    models["Y2(5) level 3"] = build_Y_model(5, 2, 3)[0]
+    return models
+
+
+@pytest.mark.parametrize("horizon", ["t", "0"])
+@pytest.mark.parametrize("max_store", [0, 10, "all"])
+@pytest.mark.parametrize("start", [None, "fixed"])
+@pytest.mark.parametrize(
+    "label, t", SAMPLER_CASES,
+    ids=[f"{label.replace('/', '').replace(' level ', '-m')}-t{t}" for label, t in SAMPLER_CASES],
+)
+def test_sampler_makes_the_gathering_sampler_draws(sampler_models, label, t, start, max_store,
+                                                    horizon):
+    model = sampler_models[label]
+    n_paths = 1000
+    kwargs = {
+        "start": None if start is None else model.num_cells // 3 + 1,
+        "max_store": n_paths if max_store == "all" else max_store,
+    }
+    t = t if horizon == "t" else 0.0
+    got = spectral.sample_paths(model, 2, t, n_paths, seed=29, **kwargs)
+    ref = _gathering_sample_paths(model, 2, t, n_paths, seed=29, **kwargs)
+    for field in ("final_cells", "jump_counts", "first_holding", "empirical_law"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.trajectories == ref.trajectories
+    doc = got.to_json_dict()
+    assert doc == ref.to_json_dict()
+    assert doc["empirical_law"] == [float(x) for x in ref.empirical_law]
+    if horizon == "t":
+        assert got.jump_counts.max() > 1
+
+
+def test_sampler_working_set_is_its_results_and_one_round():
+    # 10^5 paths on E13 m2: the three per-path results are 2.4 MB; a loop
+    # that keeps about 17 arrays over all paths alive peaks near 13 MB
+    model = build_elliptic_model(CurveSpec(13, -1, 0), 2)
+    tracemalloc.start()
+    try:
+        spectral.sample_paths(model, 2, 0.15, 100_000, seed=20240517)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11e6, peak
 
 
 def test_sample_paths_json_summary(e13_model):
