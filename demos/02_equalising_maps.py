@@ -26,6 +26,14 @@ for n in (1, 2):
     e = atlas.equalising_number((0, 3))
     print(f"P^{n}(Q_5) atlas: e(A) = {e}")
 
+# Past level 0 a ball is certified by the Jacobian mod p at its centre
+# (n + 1 evaluations), not by all p^(2n) residues, so larger primes are
+# as quick as p = 5.
+for p, level in ((7, 3), (11, 2)):
+    _, atlas, _ = build_projective_model(p, 2, level)
+    e = atlas.equalising_number((0, 3))
+    print(f"P^2(Q_{p}) atlas at level {level}: e(A) = {e}")
+
 # Isometries of the disc equalise immediately (e = 0) ...
 double = PolynomialMap(5, [{(1,): 2}], ("disc",), PRECISION)
 print("x -> 2x:", equalising_number_of_map(double, (0, 4)))

@@ -10,6 +10,8 @@ paper-formula discrepancy under --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 import warnings
@@ -45,6 +47,9 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_HEARING_MISMATCH = 3
 EXIT_STRICT_DISCREPANCY = 4
+
+# encoder chunks (one per JSON scalar or CSV line) joined per write in _emit
+EMIT_BATCH = 4096
 
 
 def _parse_exponent(text):
@@ -93,20 +98,23 @@ def _build_model(args):
 
 
 def _emit(args, payload, table):
+    """Write the payload as indented JSON, or the table as CSV, in batches
+    of EMIT_BATCH encoder chunks, so the whole text is never held in memory
+    at once; the bytes are those of json.dumps(payload, sort_keys=True,
+    indent=2) + "\n" or of the joined CSV lines."""
     if args.format == "csv":
         if table is None:
             raise ValueError("csv output is only available for tabular commands")
         header, rows = table
-        lines = [",".join(header)]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        chunks = (",".join(str(v) for v in row) + "\n" for row in itertools.chain([header], rows))
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        encoder = json.JSONEncoder(sort_keys=True, indent=2)
+        chunks = itertools.chain(encoder.iterencode(payload), ["\n"])
+    batch = list(itertools.islice(chunks, EMIT_BATCH))  # before the file opens: faster
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        while batch:
+            fh.write("".join(batch))
+            batch = list(itertools.islice(chunks, EMIT_BATCH))
 
 
 # -- commands ------------------------------------------------------------------

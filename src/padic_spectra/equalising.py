@@ -14,10 +14,23 @@ F into an equalising transition without moving the underlying points.
 Ball images are certified in residue arithmetic two digits below the ball
 radius: a probe modulus p^(level+2) detects any expansion and any
 contraction visible within two digits, which covers every polynomial map
-exercised here (their radius distortion is by a bounded power of p).  The
-probe is exhaustive: it evaluates the map at all p^(2n) residues of the
-ball in one pass and certifies the ball when every image lies in the
-equal-radius ball around the centre's image and no two residues collide.
+exercised here (their radius distortion is by a bounded power of p).
+
+The level search certifies a ball of level N >= 1 by the multivariate
+Hensel lemma (Igusa, An Introduction to the Theory of Local Zeta Functions,
+2000, section 2.2).  Let F have p-adic integral coefficients and a
+denominator that is a unit at the centre c; since N >= 1 it is then a unit
+on the whole ball.  Then F(c + p^N t) = F(c) + p^N G(t) with G(t) = J(c) t
+mod p, and G is a bijection modulo every p^d exactly when det J(c) is a
+unit.  So the ball maps onto the equal-radius ball around F(c) exactly when
+J(c) is invertible mod p, which n + 1 evaluations decide: F(c) and
+F(c + p^N e_j), whose differences divided by p^N are the columns of J(c)
+mod p.  At level 0 the quadratic terms of F reach mod p, so there the
+search keeps the exhaustive probe.  That probe, ball_image_is_equal_radius,
+evaluates the map at all p^(2n) residues of the ball in one pass and
+certifies the ball when every image lies in the equal-radius ball around
+the centre's image and no two residues collide; it is the certificate's
+oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from .padics import (
     matrix_norm,
     matrix_sub_identity,
 )
-from .polymaps import NewtonInverse, identity_map
+from .polymaps import NewtonInverse, _solve_linear_residue, identity_map
 
 __all__ = [
     "NOT_EQUALISING",
@@ -129,14 +142,48 @@ def _ball_image_is_equal_ball(apply_f, p, n, center, level, probe):
     return True
 
 
+def _jacobian_is_unit(apply_f, p, n, center, level):
+    """The Hensel certificate of a ball of level >= 1: reads J(center) mod p
+    from the n + 1 images of center and center + p^level e_j, and returns
+    False when one of those images leaves the ball around F(center) or when
+    J(center) is singular mod p."""
+    step = p**level
+    modulus = p * step
+    y0 = apply_f(center)
+    jacobian = [[] for _ in range(n)]
+    for j in range(n):
+        x = list(center)
+        x[j] += step
+        for row, y, y_c in zip(jacobian, apply_f(tuple(x)), y0):
+            digit, off = divmod((y - y_c) % modulus, step)
+            if off:
+                return False
+            row.append(digit)
+    try:
+        _solve_linear_residue(jacobian, [0] * n, p, p)
+    except ArithmeticError:
+        return False
+    return True
+
+
 def ball_image_is_equal_radius(F, center, level):
     """Whether F maps the ball (center mod p^level) onto an equal-radius ball.
 
-    Exhaustive over the ball's residues modulo p^(level + CERTIFY_DIGITS).
+    Exhaustive over the ball's residues modulo p^(level + CERTIFY_DIGITS):
+    the oracle of the Hensel certificate that equalising_number_of_map
+    uses at levels >= 1.
     """
     probe = level + CERTIFY_DIGITS
     apply_f = F.residue_function(probe)
     return _ball_image_is_equal_ball(apply_f, F.p, F.dimension, center, level, probe)
+
+
+def _check_radius_range(radius_range):
+    """(N_min, N_max) when 0 <= N_min <= N_max, else ValueError."""
+    n_min, n_max = radius_range
+    if n_min < 0 or n_max < n_min:
+        raise ValueError(f"bad radius range [{n_min}, {n_max}]")
+    return n_min, n_max
 
 
 def equalising_number_of_map(F, radius_range):
@@ -150,12 +197,17 @@ def equalising_number_of_map(F, radius_range):
     NOT_EQUALISING when N_max itself fails (levels with no ball inside the
     domain, such as radius 1 in a sphere factor, never pass).
 
+    At level 0 each ball is probed exhaustively, since there the quadratic
+    terms of F reach mod p.  At a level N >= 1 a ball passes exactly when
+    the Jacobian of F at its centre is invertible mod p (the multivariate
+    Hensel lemma, see the module docstring): n + 1 evaluations of F modulo
+    p^(N + CERTIFY_DIGITS) instead of p^(n * CERTIFY_DIGITS), with the same
+    answer as the exhaustive probe.
+
     Raises PrecisionError when coefficients carry fewer than
     N_max + CERTIFY_DIGITS digits.
     """
-    n_min, n_max = radius_range
-    if n_min < 0 or n_max < n_min:
-        raise ValueError(f"bad radius range [{n_min}, {n_max}]")
+    n_min, n_max = _check_radius_range(radius_range)
     needed = n_max + CERTIFY_DIGITS
     if F.precision < needed:
         raise PrecisionError(
@@ -171,10 +223,15 @@ def equalising_number_of_map(F, radius_range):
             works[level] = False
             continue
         apply_f = F.residue_function(probe)
-        works[level] = all(
-            _ball_image_is_equal_ball(apply_f, F.p, F.dimension, c, level, probe)
-            for c in centers
-        )
+        if level == 0:
+            works[level] = all(
+                _ball_image_is_equal_ball(apply_f, F.p, F.dimension, c, level, probe)
+                for c in centers
+            )
+        else:
+            works[level] = all(
+                _jacobian_is_unit(apply_f, F.p, F.dimension, c, level) for c in centers
+            )
     result = None
     for level in range(n_max, n_min - 1, -1):
         if not works[level]:

@@ -37,7 +37,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .equalising import NOT_EQUALISING, ball_image_is_equal_radius, equalising_number_of_map
+from .equalising import (
+    NOT_EQUALISING,
+    _check_radius_range,
+    ball_image_is_equal_radius,
+    equalising_number_of_map,
+)
 from .fields import FiniteField
 from .polymaps import PolynomialMap
 
@@ -80,9 +85,11 @@ class Atlas:
 
     def equalising_number(self, radius_range):
         """Equalising number of the atlas: worst case over its transitions,
-        NOT_EQUALISING when any of them never equalises."""
+        NOT_EQUALISING when any of them never equalises; N_min when there
+        are none."""
+        n_min, _ = _check_radius_range(radius_range)
         if not self.transitions:
-            return radius_range[0]
+            return n_min
         numbers = [equalising_number_of_map(t, radius_range) for t in self.transitions.values()]
         if NOT_EQUALISING in numbers:
             return NOT_EQUALISING

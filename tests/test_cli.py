@@ -299,6 +299,51 @@ def test_simulate_json_builds_no_per_cell_csv_rows(tmp_path):
     assert peak < 70e6, peak
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_output_is_written_without_its_whole_text(tmp_path, fmt):
+    # the 468750-cell law is about 4-5 MB of JSON or CSV text, built from
+    # one string per number: building the whole text (json.dumps, or the
+    # joined CSV lines) before writing took the traced peak to 56 MB, while
+    # the payload and the sampler need about 20 MB
+    path = tmp_path / f"sim.{fmt}"
+    argv = ["simulate", "--model", "projective", "--n", "1", "--p", "5", "--level", "8",
+            "--t", "0.001", "--paths", "1000", "--seed", "1", "--format", fmt,
+            "--output", str(path)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with open(path) as fh:
+        if fmt == "csv":
+            assert sum(1 for _ in fh) == 1 + 468750
+        else:
+            assert len(json.load(fh)["empirical_law"]) == 468750
+    assert peak < 40e6, peak
+
+
+def test_emit_writes_the_bytes_of_the_whole_text(tmp_path, capsys):
+    # past one batch of encoder chunks, the file and stdout get exactly the
+    # text that json.dumps or the joined CSV lines give
+    rows = [(i, i / 7) for i in range(3 * cli.EMIT_BATCH)]
+    payload = {"b": [{"x": v, "y": None} for _, v in rows], "a": "text"}
+    expected = {
+        "json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        "csv": "\n".join(["cell,value"] + [f"{i},{v}" for i, v in rows]) + "\n",
+    }
+    for fmt, text in expected.items():
+        for output in (str(tmp_path / "out"), None):
+            args = cli.build_parser().parse_args(
+                ["nerve", "--model", "projective", "--n", "1", "--p", "5", "--format", fmt]
+            )
+            args.output = output
+            cli._emit(args, payload, (["cell", "value"], iter(rows)))
+            written = open(output).read() if output else capsys.readouterr().out
+            assert written == text
+
+
 @pytest.mark.parametrize("command", ["heat", "green", "simulate"])
 def test_kernels_and_sampler_past_the_dense_limit(capsys, command):
     # P2(5) at level 3: 19375 cells, far past the 1500-cell dense limit

@@ -8,20 +8,27 @@ independently of the library (see the per-map notes).
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from padic_spectra.equalising import (
+    CERTIFY_DIGITS,
+    DEFAULT_SAMPLE_SEED,
     NOT_EQUALISING,
+    SAMPLE_SIZE,
     _ball_image_is_equal_ball,
+    _centers_for_level,
+    _jacobian_is_unit,
     ball_image_is_equal_radius,
     check_composite_identity,
     equalise_pair,
     equalising_number_of_map,
 )
-from padic_spectra.models import Atlas
+from padic_spectra.models import Atlas, build_projective_model, build_Y_model
 from padic_spectra.padics import (
+    PAdicError,
     PAdicNumber,
     PrecisionError,
     matrix_norm,
@@ -451,3 +458,165 @@ def test_one_pass_probe_on_images_outside_the_ball(leave):
         expected = _old_ball_probe(apply_f, p, 1, (c,), level, probe)
         assert _ball_image_is_equal_ball(apply_f, p, 1, (c,), level, probe) == expected
         assert expected is not leave
+
+
+# -- the Hensel certificate against the exhaustive probe ----------------------
+
+
+def _answer(decide, F, center, level):
+    """A ball's answer, or the type of the error deciding it raised."""
+    try:
+        return decide(F, center, level)
+    except (PAdicError, ArithmeticError) as err:
+        return type(err)
+
+
+def _certificate(F, center, level):
+    apply_f = F.residue_function(level + CERTIFY_DIGITS)
+    return _jacobian_is_unit(apply_f, F.p, F.dimension, center, level)
+
+
+def _assert_certificate_matches_probe(F, balls):
+    answers = set()
+    for center, level in balls:
+        expected = _answer(ball_image_is_equal_radius, F, center, level)
+        assert _answer(_certificate, F, center, level) == expected, (center, level)
+        answers.add(expected)
+    return answers
+
+
+def _search_balls(F, n_max):
+    """The balls at levels 1..n_max that equalising_number_of_map(F, (0, n_max))
+    decides, drawn from the same seeded centres."""
+    rng = random.Random(DEFAULT_SAMPLE_SEED)
+    balls = []
+    for level in range(n_max + 1):
+        centers = _centers_for_level(F, level, rng)
+        if level:
+            balls += [(c, level) for c in centers]
+    return balls
+
+
+ATLASES = {
+    "P1(5) m3": lambda: build_projective_model(5, 1, 3)[1],
+    "P2(5) m3": lambda: build_projective_model(5, 2, 3)[1],
+    "Y2(5) m2": lambda: build_Y_model(5, 2, 2)[1],
+}
+
+
+@pytest.mark.parametrize("name", list(ATLASES))
+def test_certificate_matches_probe_on_atlas_transitions(name):
+    for tau in ATLASES[name]().transitions.values():
+        assert _assert_certificate_matches_probe(tau, _search_balls(tau, 3)) == {True}
+
+
+@pytest.mark.parametrize("name", list(_probe_maps()))
+def test_certificate_matches_probe_on_probe_maps(name):
+    # an exhaustive dim-3 ball costs 5^6 evaluations, so dimension 3 takes
+    # 8 seeded balls of the level search
+    F = _probe_maps()[name]
+    rng = random.Random(name)
+    balls = [(c, level) for c, level in _probe_balls(F, rng) if level]
+    search = _search_balls(F, 3)
+    if F.dimension == 3:
+        search = rng.sample(search, 8)
+    answers = _assert_certificate_matches_probe(F, balls + search)
+    if name == "x-squared":
+        assert answers == {True, False}
+    if name == "inverse-on-sphere":
+        # a centre outside the domain raises the same error on both sides
+        assert _assert_certificate_matches_probe(F, [((0,), 1), ((5,), 2)]) == {DomainError}
+        coarse = PolynomialMap(5, [({(0,): 1}, {(1,): 1})], ("sphere",), 3)
+        assert _assert_certificate_matches_probe(coarse, [((1,), 2)]) == {PrecisionError}
+
+
+def test_certificate_matches_probe_on_the_chart_change_psi():
+    # psi(z) = p^m z + F^-1(z) is evaluated through a Newton inverse; its
+    # exhaustive probe costs p^(2n) Newton solves per ball, so dimension 3
+    # gets one seeded ball per level
+    rng = random.Random(31)
+    maps = [_map1({(1,): 2})] + [F for name, F in _probe_maps().items()
+                                 if name.startswith("far")]
+    for F in maps:
+        _, _, psi = equalise_pair(F)
+        per_level = {1: None, 2: 6, 3: 1}[F.dimension]
+        balls = []
+        for level in (1, 2):
+            centers = list(F.ball_centers(level))
+            if per_level is not None:
+                centers = rng.sample(centers, per_level)
+            balls += [(c, level) for c in centers]
+        assert _assert_certificate_matches_probe(psi, balls) == {True}
+
+
+def test_certificate_refuses_the_maps_that_must_fail():
+    shrink, square, critical = _map1({(1,): 5}), _map1({(2,): 1}), _map1({(1,): 1, (2,): 1})
+    for level in (1, 2, 3):
+        for c in range(0, 5**level, 7):
+            assert not _certificate(shrink, (c,), level)
+        # x^2 has Jacobian 2x, singular mod p at centre 0 only
+        assert not _certificate(square, (0,), level)
+        assert _certificate(square, (1,), level)
+        # x + x^2 has Jacobian 1 + 2x, singular mod p at centre 2
+        assert not _certificate(critical, (2,), level)
+    assert equalising_number_of_map(shrink, (1, 3)) is NOT_EQUALISING
+    assert equalising_number_of_map(critical, (1, 3)) is NOT_EQUALISING
+    # level 0 stays exhaustive: J(0) = 1 is a unit, but x + x^2 identifies
+    # x with -1 - x on the unit disc
+    assert _certificate(critical, (0,), 0)
+    assert not ball_image_is_equal_radius(critical, (0,), 0)
+    assert equalising_number_of_map(critical, (0, 0)) is NOT_EQUALISING
+
+
+def test_certificate_refuses_images_outside_the_ball():
+    apply_f = _digit_map(5, 3, leave=True)
+    for c in range(5):
+        assert not _jacobian_is_unit(apply_f, 5, 1, (c,), 1)
+
+
+class _CountingMap:
+    """A map whose residue evaluators count their evaluations."""
+
+    def __init__(self, F):
+        self.F = F
+        self.evaluations = 0
+
+    def __getattr__(self, name):
+        return getattr(self.F, name)
+
+    def residue_function(self, k):
+        apply_f = self.F.residue_function(k)
+
+        def counted(point):
+            self.evaluations += 1
+            return apply_f(point)
+
+        return counted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_certified_ball_costs_n_plus_one_evaluations(n, level):
+    # a silent fall-back to the exhaustive probe would cost p^(2n) per ball
+    F = _CountingMap(identity_map(5, n, 8))
+    assert equalising_number_of_map(F, (level, level)) == level
+    balls = min(5 ** (n * level), SAMPLE_SIZE)
+    assert F.evaluations == (n + 1) * balls
+
+
+def test_atlas_numbers_past_p_five_within_budget():
+    # the exhaustive level search took 2.4 s on P2(7) m3 and 20 s on
+    # P2(11) m2; the certificate takes milliseconds
+    start = time.perf_counter()
+    for p, level in ((7, 3), (11, 2)):
+        _, atlas, _ = build_projective_model(p, 2, level)
+        assert atlas.equalising_number((0, 3)) == 1
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("radius_range", [(2, 1), (-3, 1)])
+def test_atlas_rejects_a_bad_radius_range_with_or_without_transitions(radius_range):
+    for atlas in (Atlas({}), Atlas({(0, 1): identity_map(5, 1, 8)})):
+        with pytest.raises(ValueError, match="bad radius range"):
+            atlas.equalising_number(radius_range)
+    assert Atlas({}).equalising_number((1, 3)) == 1
