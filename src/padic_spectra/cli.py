@@ -151,57 +151,42 @@ def cmd_spectrum(args):
     return summary.to_json_dict(), (header, rows), EXIT_OK
 
 
-def _kernel_payload(args, model, profile, block):
-    """Kernel summary payload from the spectral (profile, block) form of
-    f(L), plus the --x row: entries are c B[T, T'] between tops and
-    c B[T, T] + P_T[d] inside a top, so the extremes need no row, and the
-    asymmetry is that of c B."""
+def _kernel_model(args):
+    """The model of a heat or green command, --x checked before any synthesis."""
+    model = _build_model(args)
     if args.x is not None:
         _require_cells(model, PER_CELL_OUTPUT_LIMIT, "per-cell output")
         if not 0 <= args.x < model.num_cells:
             raise ValueError(f"--x {args.x} out of range for {model.num_cells} cells")
-    cB = block * float(model.branching)
-    inner = np.diag(cB)[:, None] + profile[:, 1:]
-    entries = np.concatenate([cB[~np.eye(len(cB), dtype=bool)], inner.ravel()])
-    payload = {
-        "model": model.name,
-        "s": float(args.s),
-        "wavelet_only": bool(args.wavelet_only),
-        "min_entry": float(entries.min()),
-        "max_entry": float(entries.max()),
-        "max_asymmetry": float(np.abs(cB - cB.T).max()),
-    }
+    return model
+
+
+def _kernel_payload(args, model, form):
+    """Kernel summary payload of f(L) from its spectral form, plus the --x row."""
+    payload = {"model": model.name, "s": float(args.s), "wavelet_only": bool(args.wavelet_only),
+               **spectral._kernel_summary(model, form)}
     if args.x is not None:
-        row = spectral._kernel_rows(model, profile, block, np.array([args.x]))[0]
+        row = spectral._kernel_rows(model, form, np.array([args.x]))[0]
         payload["row"] = [float(v) for v in row]
     return payload
 
 
 def cmd_heat(args):
-    model = _build_model(args)
-    profile, block = spectral._heat_parts(
-        model, args.s, args.t, args.paper_constant_term, not args.wavelet_only
-    )
-    payload = _kernel_payload(args, model, profile, block)
-    c = model.branching
-    m = model.level
-    # against mu = c^-m the c^(m-1) cells of a top weigh 1/c, and a cell has
-    # (c - 1) c^(m-1-d) cells of its top at join depth d < m, one at d = m
-    counts = [(c - 1) * c ** (m - 1 - d) for d in range(1, m)] + [1]
-    mass = block.sum(axis=1) + profile[:, 1:] @ counts / c**m
-    payload["t"] = args.t
-    payload["paper_constant_term"] = bool(args.paper_constant_term)
-    payload["mass_max_deviation"] = float(np.abs(mass - 1.0).max())
-    payload["trace_times_mu"] = float(np.trace(block) + profile[:, m].sum() / c)
+    model = _kernel_model(args)
+    form = spectral._heat_parts(model, args.s, args.t, args.paper_constant_term,
+                                not args.wavelet_only)
+    payload = _kernel_payload(args, model, form)
+    payload.update(t=args.t, paper_constant_term=bool(args.paper_constant_term))
     return payload, None, EXIT_OK
 
 
 def cmd_green(args):
-    model = _build_model(args)
+    model = _kernel_model(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        parts = spectral._green_parts(model, args.s, not args.wavelet_only)
-    payload = _kernel_payload(args, model, *parts)
+        form = spectral._green_parts(model, args.s, not args.wavelet_only)
+    payload = _kernel_payload(args, model, form)
+    del payload["mass_max_deviation"], payload["trace_times_mu"]  # heat kernels only
     payload["warnings"] = [str(w.message) for w in caught]
     return payload, None, EXIT_OK
 
@@ -213,7 +198,8 @@ def cmd_simulate(args):
         model, args.s, args.t, args.paths, seed=args.seed, start=args.start
     )
     rows = enumerate(map(float, result.empirical_law))  # lazy: only CSV reads it
-    return result.to_json_dict(), (["cell", "probability"], rows), EXIT_OK
+    payload = result.to_json_dict() if args.format == "json" else {}  # CSV: the rows alone
+    return payload, (["cell", "probability"], rows), EXIT_OK
 
 
 def cmd_count(args):

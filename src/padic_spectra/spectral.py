@@ -23,8 +23,10 @@ Its spectrum splits into two honest pieces:
 
 The class eigenvalues and the reduced block are the only description of
 the generator: heat and Green kernels and the semigroup read them in one
-form (`_synthesis`), the sampler as rates.  The dense matrix is the tests'
-reference (`assemble_operator`); dense kernels refuse large models.
+region-sized form (`_synthesis`: a block on pairs of census regions and a
+join-depth profile per region), the sampler as rates.  The dense matrix is
+the tests' reference (`assemble_operator`); dense kernels refuse large
+models.
 """
 
 from __future__ import annotations
@@ -139,18 +141,6 @@ def _region_quotient(model, s):
     lam, V = np.linalg.eigh(np.diag(scalars) - np.outer(root, root) * w)
     lam[0] = 0.0
     return idx, sizes, scalars, lam, V
-
-
-def _reduced_function(model, s, fn):
-    """fn(Q) for the reduced operator Q, from its region quotient: fn maps
-    an array of eigenvalues to their images elementwise."""
-    idx, sizes, scalars, lam, V = _region_quotient(model, s)
-    within = fn(scalars)
-    root = np.sqrt(sizes)
-    C = (V * fn(lam)) @ V.T / np.outer(root, root) - np.diag(within / sizes)
-    F = C[np.ix_(idx, idx)]
-    F[np.diag_indices_from(F)] += within[idx]
-    return F
 
 
 def reduced_block_eigenvalues(model, s):
@@ -385,46 +375,75 @@ def enumerate_spectrum(model, s, exact=None):
 # -- kernels ------------------------------------------------------------------
 
 
-def _kernel_rows(model, profile, block, cells):
+def _kernel_rows(model, form, cells):
     """Rows at the cells (int array) of the kernel of f(L), expanded from its
-    `_synthesis` form: c block[T(x), T(y)] between tops, plus the profile
-    value P_T[d] at join depth d inside the top T of x."""
-    c = model.branching
+    `_synthesis` form: c block[a, b] against every other top, of region b,
+    and profile[a, d] at join depth d inside x's own top, of region a."""
+    idx, profile, block = form
     per = model.cells_per_top
     tops = cells // per
-    rows = np.repeat(block[tops] * float(c), per, axis=1)
+    rows = np.repeat(block[idx[tops]][:, idx] * float(model.branching), per, axis=1)
     blocks = rows.reshape(len(cells), len(model.tops), per)  # a view of rows
     depth = _within_top_depth(model, cells % per)
-    blocks[np.arange(len(cells)), tops] += profile[tops[:, None], depth]
+    blocks[np.arange(len(cells)), tops] = profile[idx[tops][:, None], depth]
     return rows
 
 
-def _synthesis(model, s, fn, complement):
-    """fn(L) in the one form every kernel reads: (profile, block).
+def _kernel_summary(model, form):
+    """The kernel of f(L), summarised on regions from its `_synthesis` form:
+    extreme entries, largest asymmetry and, for a heat kernel, the largest
+    deviation of a row's mass from 1 and the trace against mu."""
+    idx, profile, block = form
+    c = model.branching
+    m = model.level
+    sizes = np.bincount(idx, minlength=len(block))
+    cB = block * float(c)
+    pairs = np.outer(sizes, sizes) > np.diag(sizes)  # region pairs with two distinct tops
+    entries = np.concatenate([cB[pairs], profile[:, 1:].ravel()])
+    # against mu = c^-m the c^(m-1) cells of a top weigh 1/c, and a cell has
+    # (c - 1) c^(m-1-d) cells of its top at join depth d < m, one at d = m
+    counts = [(c - 1) * c ** (m - 1 - d) for d in range(1, m)] + [1]
+    mass = block @ sizes - np.diag(block) + profile[:, 1:] @ counts / c**m
+    return {
+        "min_entry": float(entries.min()),
+        "max_entry": float(entries.max()),
+        "max_asymmetry": float(np.abs(cB - cB.T).max()),
+        "mass_max_deviation": float(np.abs(mass - 1.0).max()),
+        "trace_times_mu": float(sizes @ profile[:, m] / c),
+    }
 
-    Between tops T and T' the kernel of fn(L) against mu is c block[T, T'],
-    block = fn(L_red) on top means from the region quotient (complement=False:
-    fn(0)/#tops, its constant mode alone).  Inside T it is c block[T, T] +
-    profile[T, d] at join depth d = 1..m: character orthogonality collapses
-    each ball's wavelet sum to mu(B)^(-1) (c [same child] - 1).  fn maps an
-    array of eigenvalues to their images elementwise."""
+
+def _synthesis(model, s, fn, flat=None):
+    """fn(L) in the one form every kernel reads: (idx, profile, block), idx
+    the census region of each top, profile r x (m + 1) and block r x r.
+
+    Between distinct tops of regions a and b the kernel of fn(L) against mu
+    is c block[a, b], block = fn(L_red) from the region quotient or the
+    constant `flat`.  Inside a top of region a it is profile[a, d] at join
+    depth d = 1..m (profile[a, 0] = 0): c times the top's own entry of
+    fn(L_red) plus the wavelets, each ball's sum collapsed by character
+    orthogonality to mu(B)^(-1) (c [same child] - 1).  fn maps an array of
+    eigenvalues to their images elementwise."""
     lams = class_eigenvalues(model, s, exact=False)
     weights = dict(zip(lams, fn(np.array(list(lams.values()), dtype=np.float64))))
     c = model.branching
     m = model.level
-    profile = {}
-    for region in model._census:
-        W = np.zeros(m + 1)
+    idx, sizes, scalars, lam, V = _region_quotient(model, s)
+    if flat is None:
+        within = fn(scalars)  # on vectors mean-zero inside one region
+        root = np.sqrt(sizes)
+        block = (V * fn(lam)) @ V.T / np.outer(root, root) - np.diag(within / sizes)
+    else:
+        within, block = 0.0, np.full((len(sizes), len(sizes)), flat)
+    own = np.diag(block) + within
+    profile = np.zeros((len(block), m + 1))
+    for a, region in enumerate(model._census):
         for delta in range(1, m):
             term = float(weights[(delta, region)]) * float(c) ** delta
-            W[delta] -= term
-            W[delta + 1 :] += term * (c - 1)
-        profile[region] = W
-    by_top = np.array([profile[top.region] for top in model.tops])
-    if not complement:
-        ntops = len(model.tops)
-        return by_top, np.full((ntops, ntops), fn(np.zeros(1))[0] / ntops)
-    return by_top, _reduced_function(model, s, fn)
+            profile[a, delta] -= term
+            profile[a, delta + 1 :] += term * (c - 1)
+    profile[:, 1:] += own[:, None] * float(c)
+    return idx, profile, block
 
 
 def _check_time(t):
@@ -436,29 +455,23 @@ def _check_time(t):
 
 
 def _heat_parts(model, s, t, paper_constant_term=False, complement=True):
-    """exp(-tL) in the `_synthesis` form (profile, block): the block is
-    exp(-t L_red) (complement=False: the flat 1/#tops of its constant
-    mode; paper_constant_term: the bare 1/c)."""
+    """exp(-tL) in the `_synthesis` form: the block is exp(-t L_red)
+    (complement=False: the flat 1/#tops of its constant mode;
+    paper_constant_term: the bare 1/c)."""
     _check_time(t)
-    profile, block = _synthesis(
-        model, s, lambda x: np.exp(-t * x), complement and not paper_constant_term
-    )
+    flat = None if complement else 1.0 / len(model.tops)
     if paper_constant_term:
-        block.fill(1.0 / model.branching)
-    return profile, block
+        flat = 1.0 / model.branching
+    return _synthesis(model, s, lambda x: np.exp(-t * x), flat)
 
 
 def _green_parts(model, s, complement=True):
-    """The pseudo-inverse of L in the `_synthesis` form (profile, block):
-    the block is the pseudo-inverse of L_red (zero with complement=False);
-    warns for s <= 1."""
+    """The pseudo-inverse of L in the `_synthesis` form: the block is the
+    pseudo-inverse of L_red (zero with complement=False); warns for s <= 1."""
     if float(s) <= 1:
-        warnings.warn(
-            "Green function for s <= 1: finite-level values only, the"
-            " deepening limit diverges",
-            stacklevel=3,
-        )
-    return _synthesis(model, s, _pseudo_reciprocal, complement)
+        warnings.warn("Green function for s <= 1: finite-level values only, the"
+                      " deepening limit diverges", stacklevel=3)
+    return _synthesis(model, s, _pseudo_reciprocal, None if complement else 0.0)
 
 
 def _pseudo_reciprocal(x):
@@ -481,8 +494,8 @@ def heat_kernel(model, s, t, paper_constant_term=False, complement=True):
     dense-matrix cell limit raise ModelError.
     """
     _require_cells(model)
-    weights, block = _heat_parts(model, s, t, paper_constant_term, complement)
-    return _kernel_rows(model, weights, block, np.arange(model.num_cells))
+    form = _heat_parts(model, s, t, paper_constant_term, complement)
+    return _kernel_rows(model, form, np.arange(model.num_cells))
 
 
 def green_function(model, s, complement=True):
@@ -496,8 +509,7 @@ def green_function(model, s, complement=True):
     Models above the dense-matrix cell limit raise ModelError.
     """
     _require_cells(model)
-    weights, block = _green_parts(model, s, complement)
-    return _kernel_rows(model, weights, block, np.arange(model.num_cells))
+    return _kernel_rows(model, _green_parts(model, s, complement), np.arange(model.num_cells))
 
 
 def _invert_fraction_matrix(M):
@@ -538,12 +550,13 @@ def green_reduced_exact(model, s):
 def semigroup_apply(model, s, t, values, complement=True):
     """exp(-tL) applied to a vector of cell values by spectral synthesis.
 
-    The heat kernel's `_synthesis` form, telescoped: out = block (top
-    means) + sum_d (P_T[d] - P_T[d-1]) / c^d (depth-d ball means, depth 1
-    the top), each mean from the next finer one.  Matches the dense matrix
-    exponential to rounding.  complement=False projects onto constants +
-    wavelets instead: the cross-fiber part of the input (top means minus
-    the global mean) is dropped, not evolved.
+    The heat kernel's `_synthesis` form, telescoped: at a cell of a top of
+    region a, out = sum_d (P_a[d] - P_a[d-1]) / c^d (depth-d ball means,
+    depth 1 the top's, each from the next finer) + (block S)[a] - block[a, a]
+    (top mean), S the region sums of the top means.  Matches the dense
+    matrix exponential to rounding.  complement=False projects onto
+    constants + wavelets instead: the cross-fiber part of the input (top
+    means minus the global mean) is dropped, not evolved.
     """
     v = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
     n = model.num_cells
@@ -552,15 +565,16 @@ def semigroup_apply(model, s, t, values, complement=True):
     c = model.branching
     m = model.level
     ntops = len(model.tops)
-    profile, block = _heat_parts(model, s, t, complement=complement)
+    idx, profile, block = _heat_parts(model, s, t, complement=complement)
     g = np.diff(profile, axis=1) / float(c) ** np.arange(1, m + 1)
     means = v.reshape(ntops, -1)
-    out = means * g[:, -1:]
+    out = means * g[idx, -1:]
     for depth in range(m - 1, 0, -1):
         means = means.reshape(ntops, -1, c).mean(axis=2)
         balls = out.reshape(ntops, means.shape[1], -1)  # a view of out
-        balls += (g[:, depth - 1, None] * means)[:, :, None]
-    out += (block @ means[:, 0])[:, None]
+        balls += (g[idx, depth - 1, None] * means)[:, :, None]
+    sums = (idx == np.arange(len(block))[:, None]) @ means[:, 0]  # complex kept, unlike bincount
+    out += ((block @ sums)[idx] - np.diag(block)[idx] * means[:, 0])[:, None]
     return out.ravel()
 
 

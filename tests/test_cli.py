@@ -210,7 +210,7 @@ def _summary_from_rows(model, parts):
     first cell): every row of a top holds the same values, and the
     cross-top asymmetry lives in the tops x tops submatrix."""
     firsts = np.arange(len(model.tops)) * model.cells_per_top
-    tops = spectral._kernel_rows(model, *parts, firsts)
+    tops = spectral._kernel_rows(model, parts, firsts)
     sub = tops[:, firsts]
     mu = float(model.cell_measure)
     per = model.cells_per_top
@@ -280,6 +280,60 @@ def test_kernel_summary_builds_no_row_per_top(capsys, command):
     capsys.readouterr()
     assert code == 0
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("command", [["heat", "--t", "0.7"], ["green"]], ids=["heat", "green"])
+def test_kernel_summary_builds_no_tops_by_tops_array(capsys, command):
+    # E/F_5003 at level 2 has 5004 tops: a tops x tops float block is 200 MB,
+    # while the region form holds r x r and r x (m + 1) numbers
+    argv = [*command, "--model", "elliptic", "--p", "5003", "--a4", "-1", "--a6", "0"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 32e6, peak
+
+
+@pytest.mark.parametrize("command", [["heat", "--t", "0.7"], ["green"]], ids=["heat", "green"])
+@pytest.mark.parametrize(
+    "model, x, message",
+    [(["--p", "5003"], "3", "25035012 cells exceeds the per-cell output limit 1048576"),
+     (["--p", "13"], "9999", "--x 9999 out of range for 104 cells")],
+    ids=["past-the-limit", "out-of-range"],
+)
+def test_kernel_row_is_refused_before_any_synthesis(capsys, monkeypatch, command, model, x,
+                                                    message):
+    # a refused --x used to cost the whole synthesis first: a 5004 x 5004
+    # block on E/F_5003
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis before the --x check")
+
+    monkeypatch.setattr(spectral, "_synthesis", no_synthesis)
+    argv = [*command, "--model", "elliptic", *model, "--a4", "-1", "--a6", "0", "--x", x]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_simulate_csv_builds_no_json_law(tmp_path):
+    # the JSON payload's law, one Python float per cell, is about 15 MB for
+    # these 468750 cells and is never written as CSV
+    argv = ["simulate", "--model", "projective", "--n", "1", "--p", "5", "--level", "8",
+            "--t", "0.001", "--paths", "1000", "--seed", "1", "--format", "csv",
+            "--output", str(tmp_path / "sim.csv")]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12e6, peak
 
 
 def test_simulate_json_builds_no_per_cell_csv_rows(tmp_path):

@@ -230,12 +230,25 @@ def test_spectrum_json_carries_exact_values(e13_model):
 
 
 QUOTIENT_MODELS = ORACLE_MODELS + [
-    ("E157 level 2", build_elliptic_model(CurveSpec(157, -1, 0), 2))
+    ("E157 level 2", build_elliptic_model(CurveSpec(157, -1, 0), 2)),
+    ("E1009 level 2", build_elliptic_model(CurveSpec(1009, -1, 0), 2)),
 ]
 
 
 def _max_rel(got, ref):
     return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def _top_block(model, form):
+    """f(L_red) on tops, expanded from the region form (idx, profile, block):
+    block[a, b] between distinct tops; on a top's diagonal the mean of its
+    kernel over the top, over c, since the wavelets have mean zero there."""
+    idx, profile, block = form
+    c, m = model.branching, model.level
+    F = block[idx][:, idx]
+    counts = [(c - 1) * c ** (m - 1 - d) for d in range(1, m)] + [1]
+    np.fill_diagonal(F, profile[idx, 1:] @ counts / c**m)
+    return F
 
 
 @pytest.mark.parametrize("s", [1.5, 2, 3])
@@ -248,9 +261,9 @@ def test_quotient_matches_dense_reduced_block(label, model, s):
     assert got[0] == 0.0
     assert _max_rel(got, np.linalg.eigvalsh(Q)) < 1e-13
     for t in (0.05, 0.7):
-        _, block = spectral._heat_parts(model, s, t)
+        block = _top_block(model, spectral._heat_parts(model, s, t))
         assert _max_rel(block, scipy.linalg.expm(-t * Q)) < 1e-13, t
-    _, G = spectral._green_parts(model, s)
+    G = _top_block(model, spectral._green_parts(model, s))
     g, q = np.abs(G).max(), np.abs(Q).max()
     assert np.abs(G - G.T).max() <= 1e-13 * g
     assert np.abs(G.sum(axis=1)).max() <= 1e-12 * g
@@ -258,11 +271,48 @@ def test_quotient_matches_dense_reduced_block(label, model, s):
     assert np.abs(G @ Q @ G - G).max() <= 1e-12 * g
 
 
+@pytest.mark.parametrize("s", [1.5, 2, 3])
+@pytest.mark.parametrize("label,model", QUOTIENT_MODELS, ids=_model_ids(QUOTIENT_MODELS))
+def test_flat_kernel_forms_match_dense_reduced_block(label, model, s):
+    # complement=False keeps the constant mode P0 = J/#tops of the block
+    # alone: exp(-tQ) P0 = P0, and Q^+ P0 = 0; the paper's constant term is
+    # the bare 1/c
+    Q = spectral.reduced_operator(model, s)
+    P0 = np.full(Q.shape, 1.0 / len(Q))
+    heat = _top_block(model, spectral._heat_parts(model, s, 0.7, complement=False))
+    assert _max_rel(heat, scipy.linalg.expm(-0.7 * Q) @ P0) < 1e-13
+    paper = _top_block(model, spectral._heat_parts(model, s, 0.7, paper_constant_term=True))
+    assert _max_rel(paper, np.full(Q.shape, 1.0 / model.branching)) < 1e-13
+    G = _top_block(model, spectral._green_parts(model, s))
+    flat = _top_block(model, spectral._green_parts(model, s, complement=False))
+    assert np.abs(flat).max() <= 1e-13 * np.abs(G).max()
+    assert np.abs(G @ P0).max() <= 1e-13 * np.abs(G).max()
+
+
+@pytest.mark.parametrize("label,model", QUOTIENT_MODELS, ids=_model_ids(QUOTIENT_MODELS))
+def test_kernel_forms_are_region_sized(label, model):
+    # one profile row and one block row per census region, for any number
+    # of tops, in every variant of heat and Green
+    r = len(model._census)
+    forms = [
+        spectral._heat_parts(model, 2, 0.7),
+        spectral._heat_parts(model, 2, 0.7, complement=False),
+        spectral._heat_parts(model, 2, 0.7, paper_constant_term=True),
+        spectral._green_parts(model, 2),
+        spectral._green_parts(model, 2, complement=False),
+    ]
+    for idx, profile, block in forms:
+        assert idx.shape == (len(model.tops),)
+        assert profile.shape == (r, model.level + 1)
+        assert block.shape == (r, r)
+        assert (profile[:, 0] == 0).all()
+
+
 @pytest.mark.parametrize("s", [2, 3])
 @pytest.mark.parametrize("label,model", ORACLE_MODELS, ids=_model_ids(ORACLE_MODELS))
 def test_quotient_green_matches_exact_pseudo_inverse(label, model, s):
     exact = np.array(spectral.green_reduced_exact(model, s), dtype=object).astype(float)
-    _, G = spectral._green_parts(model, s)
+    G = _top_block(model, spectral._green_parts(model, s))
     assert _max_rel(G, exact) < 1e-13
 
 
@@ -274,8 +324,8 @@ def test_quotient_ignores_the_diagonal_of_a_single_top_region(e13_model, monkeyp
     assert lone
     before = [
         spectral.reduced_block_eigenvalues(e13_model, 2),
-        spectral._heat_parts(e13_model, 2, 0.7)[1],
-        spectral._green_parts(e13_model, 2)[1],
+        *spectral._heat_parts(e13_model, 2, 0.7),
+        *spectral._green_parts(e13_model, 2),
     ]
     altered = [row[:] for row in table]
     for a in lone:
@@ -283,8 +333,8 @@ def test_quotient_ignores_the_diagonal_of_a_single_top_region(e13_model, monkeyp
     monkeypatch.setattr(spectral, "_region_table", lambda model: (regions, idx, altered))
     after = [
         spectral.reduced_block_eigenvalues(e13_model, 2),
-        spectral._heat_parts(e13_model, 2, 0.7)[1],
-        spectral._green_parts(e13_model, 2)[1],
+        *spectral._heat_parts(e13_model, 2, 0.7),
+        *spectral._green_parts(e13_model, 2),
     ]
     for x, y in zip(before, after):
         assert np.array_equal(x, y)
@@ -297,7 +347,7 @@ def test_green_block_drops_the_null_mode_on_many_tops():
     model = build_elliptic_model(CurveSpec(701, -1, 0), 2)
     assert len(model.tops) == 712
     Q = spectral.reduced_operator(model, 2)
-    _, G = spectral._green_parts(model, 2)
+    G = _top_block(model, spectral._green_parts(model, 2))
     g, q = np.abs(G).max(), np.abs(Q).max()
     assert g < 10 * q  # no inverted null mode
     assert np.abs(G @ np.ones(len(G))).max() <= 1e-12 * g
@@ -470,7 +520,7 @@ def _semigroup_apply_by_averages(model, s, t, values, complement=True):
     ntops = len(model.tops)
     lams = spectral.class_eigenvalues(model, s, exact=False)
     weights = {key: np.exp(-t * float(lam)) for key, lam in lams.items()}
-    block = spectral._heat_parts(model, s, t, complement=complement)[1]
+    block = _top_block(model, spectral._heat_parts(model, s, t, complement=complement))
     out = np.repeat(block @ v.reshape(ntops, per).mean(axis=1), per)
     averages = {m: v}
     for depth in range(m - 1, 0, -1):
@@ -492,20 +542,118 @@ def deep_models():
     }
 
 
+def _semigroup_input(model, dtype):
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=model.num_cells).astype(dtype)
+    if dtype is np.complex128:
+        h += 1j * rng.normal(size=model.num_cells)
+    return h
+
+
 @pytest.mark.parametrize("label", ["P1(5) level 5", "P2(5) level 4", "E/F_13 level 4"])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("complement", [True, False])
 def test_semigroup_apply_matches_ball_average_synthesis(deep_models, label, dtype,
                                                         complement):
     model = deep_models[label]
-    rng = np.random.default_rng(17)
-    h = rng.normal(size=model.num_cells).astype(dtype)
-    if dtype is np.complex128:
-        h += 1j * rng.normal(size=model.num_cells)
+    h = _semigroup_input(model, dtype)
     got = spectral.semigroup_apply(model, 2.5, 0.3, h, complement=complement)
     ref = _semigroup_apply_by_averages(model, 2.5, 0.3, h, complement=complement)
     assert got.dtype == ref.dtype
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# semigroup_apply(model, 2.5, 0.3, h), h as in the ball-average test, at
+# cells 0, n // 3 and n - 1, then its largest |entry|: the output of the
+# synthesis on a tops x tops block, which the region-sized form replaced
+SEMIGROUP_SPOTS = {
+    ("P1(5) level 5", "float64", True): (
+        -0.0292809083206204,
+        -0.009398917634229863,
+        0.035243072831253795,
+        0.06114864013552545,
+    ),
+    ("P1(5) level 5", "float64", False): (
+        0.012386456994197336,
+        0.01825995913069135,
+        0.01501948742929461,
+        0.018259959130691353,
+    ),
+    ("P1(5) level 5", "complex128", True): (
+        -0.029280908320620413+0.05913243047186964j,
+        -0.009398917634229866+0.0395531570878911j,
+        0.0352430728312538-0.04764409982437151j,
+        0.07109423161646337,
+    ),
+    ("P1(5) level 5", "complex128", False): (
+        0.012386456994197331+0.006177982257920404j,
+        0.018259959130691346+0.0077247400432077125j,
+        0.015019487429294607+0.007320037528961998j,
+        0.01982669201328489,
+    ),
+    ("P2(5) level 4", "float64", True): (
+        0.0017281488208503917,
+        -0.00627640516493886,
+        -0.01375943372301883,
+        0.013759433723018834,
+    ),
+    ("P2(5) level 4", "float64", False): (
+        -0.0009772808722061845,
+        -0.0009772808722061821,
+        -0.0009772808722061826,
+        0.000977280872206187,
+    ),
+    ("P2(5) level 4", "complex128", True): (
+        0.0017281488208503908+0.006669730836474641j,
+        -0.006276405164938863+0.004414282855123547j,
+        -0.01375943372301883+0.002386916090231965j,
+        0.01615489301522883,
+    ),
+    ("P2(5) level 4", "complex128", False): (
+        -0.0009772808722061845+0.004408761811069831j,
+        -0.0009772808722061821+0.004408761811069834j,
+        -0.0009772808722061826+0.004408761811069831j,
+        0.004515778848651456,
+    ),
+    ("E/F_13 level 4", "float64", True): (
+        0.0006909281341951505,
+        0.00207828794873703,
+        -0.0019787853368119566,
+        0.01803449510383806,
+    ),
+    ("E/F_13 level 4", "float64", False): (
+        0.001266900887581173,
+        0.0012668842535469513,
+        0.001266918398652843,
+        0.0012669840803031759,
+    ),
+    ("E/F_13 level 4", "complex128", True): (
+        0.0006909281341951459-0.007379122519015256j,
+        0.00207828794873703-0.01390975378631576j,
+        -0.0019787853368119553-0.02786914476910168j,
+        0.028500172524167144,
+    ),
+    ("E/F_13 level 4", "complex128", False): (
+        0.0012669008875811716-0.01482895064856676j,
+        0.00126688425354695-0.01482895530801137j,
+        0.0012669183986528418-0.014828966211779442j,
+        0.014883057209635245,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", ["P1(5) level 5", "P2(5) level 4", "E/F_13 level 4"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("complement", [True, False])
+def test_semigroup_apply_keeps_its_tops_block_output(deep_models, label, dtype, complement):
+    model = deep_models[label]
+    got = spectral.semigroup_apply(model, 2.5, 0.3, _semigroup_input(model, dtype),
+                                   complement=complement)
+    n = model.num_cells
+    *spots, top = SEMIGROUP_SPOTS[label, np.dtype(dtype).name, complement]
+    assert got.dtype == dtype
+    assert np.abs(got).max() == pytest.approx(top, rel=1e-13)
+    assert np.abs(got[[0, n // 3, n - 1]] - spots).max() <= 1e-13 * top
 
 
 # -- path sampling ---------------------------------------------------------------
