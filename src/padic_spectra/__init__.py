@@ -9,8 +9,8 @@ the inverse problem of hearing an elliptic curve's point count from its
 spectral bottom.
 """
 
-from .padics import PAdicError, PAdicNumber, PrecisionError, padic_norm
-from .fields import FiniteField, FqElement, additive_character_table, fq_is_square
+from .padics import PAdicError, PAdicNumber, PrecisionError
+from .fields import FiniteField, FqElement, additive_character_table
 from .polymaps import (
     DomainError,
     NewtonInverse,
@@ -38,7 +38,6 @@ from .models import (
     TopBall,
     build_Y_model,
     build_projective_model,
-    model_to_json,
     verify_ball_transition_consistency,
 )
 from .spectral import (

@@ -67,7 +67,6 @@ __all__ = [
     "published_kappa",
     "closed_form_discrepancies",
     "lambda0",
-    "lambda0_argmin",
     "hasse_window",
     "hear_points",
 ]
@@ -184,15 +183,6 @@ def branch_points_rational(curve):
     return _affine_points(curve)[1::2].count(0) == 3
 
 
-def _elliptic_rep(model, cell):
-    label, point = model.tops[model.top_index_of(cell)].data
-    return {
-        "fiber": label,
-        "point": point,
-        "digits": list(model.digits_of(cell)),
-    }
-
-
 REGION_CHARTS = {"a": frozenset([0]), "b": frozenset([0, 1]), "c": frozenset([1])}
 
 
@@ -224,7 +214,7 @@ def build_elliptic_model(curve, level):
         )
     return CellModel(
         f"E(q={curve.q}): y^2 = x^3 + {curve.A.code}x + {curve.B.code}",
-        curve.p, curve.f, 1, level, tops, (0, 1), False, rep_fn=_elliptic_rep,
+        curve.p, curve.f, 1, level, tops, (0, 1), False,
     )
 
 
@@ -376,18 +366,6 @@ def lambda0(source, q=None, s=2, level=2):
         if argmin_levels != {1}:
             raise HearingError("minimum not on the maximal balls")
     return best
-
-
-def lambda0_argmin(N, q, s):
-    """All (mu_B, region) classes of a level-2 model attaining the minimum
-    (ties reported)."""
-    values = _class_values(N, q, s, 2)
-    best = min(values.values())
-    return sorted(
-        (Fraction(1, q**ell), region)
-        for (ell, region), v in values.items()
-        if v == best
-    )
 
 
 def hasse_window(q):

@@ -311,6 +311,8 @@ def check_composite_identity(F, H, psi, samples=100, seed=DEFAULT_SAMPLE_SEED):
 
     Zero means the identity holds at working precision on every sample.
     """
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     k = F.precision
     rng = random.Random(seed)
     apply_f = F.residue_function(k)

@@ -22,7 +22,6 @@ from .padics import PAdicError, _is_prime
 __all__ = [
     "FiniteField",
     "FqElement",
-    "fq_is_square",
     "additive_character_table",
 ]
 
@@ -145,6 +144,8 @@ class _FiniteField:
         return FqElement(self, code % self.q if isinstance(code, int) else code)
 
     def element_from_coeffs(self, coeffs):
+        if len(coeffs) > self.f:
+            raise PAdicError(f"coefficient vector of length {len(coeffs)} exceeds f={self.f}")
         code = 0
         for c in reversed(coeffs):
             code = code * self.p + c % self.p
@@ -262,13 +263,6 @@ class FqElement:
 
     def __repr__(self):
         return f"Fq({self.code}; q={self.field.q})"
-
-
-def fq_is_square(a):
-    """True when a is a square in F_q (zero counts as a square)."""
-    if a.code == 0:
-        return True
-    return (a ** ((a.field.q - 1) // 2)).code == 1
 
 
 def additive_character_table(p, f=1):

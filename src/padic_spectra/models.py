@@ -59,7 +59,6 @@ __all__ = [
     "build_projective_model",
     "build_Y_model",
     "verify_ball_transition_consistency",
-    "model_to_json",
 ]
 
 EXACT_MATRIX_CELL_LIMIT = 1500
@@ -197,14 +196,6 @@ class Ball:
             return f"t{self.top_index}"
         return f"t{self.top_index}." + ".".join(str(d) for d in self.prefix)
 
-    def parent(self):
-        if self.prefix:
-            return Ball(self.model, self.top_index, self.prefix[:-1])
-        if self.model.chart_balls:
-            region = self.model.tops[self.top_index].region
-            return ChartBall(self.model, min(region))
-        return None
-
     def __repr__(self):
         return f"Ball({self.id_string}, measure={self.measure})"
 
@@ -230,9 +221,6 @@ class ChartBall:
     def id_string(self):
         return f"U{self.chart}"
 
-    def parent(self):
-        return None
-
     def __repr__(self):
         return f"ChartBall(U{self.chart}, measure={self.measure})"
 
@@ -257,12 +245,11 @@ class CellModel:
         "chart_ids",
         "chart_balls",
         "nerve",
-        "rep_fn",
         "_census",
         "_cross_cache",
     )
 
-    def __init__(self, name, p, f, dimension, level, tops, chart_ids, chart_balls, rep_fn=None):
+    def __init__(self, name, p, f, dimension, level, tops, chart_ids, chart_balls):
         if level < 1:
             raise ModelError("level must be >= 1")
         self.name = name
@@ -276,7 +263,6 @@ class CellModel:
         self.chart_balls = chart_balls
         self._census = Counter(top.region for top in self.tops)
         self.nerve = nerve_weights(self)
-        self.rep_fn = rep_fn
         self._cross_cache = {}
 
     # -- basic structure -----------------------------------------------------
@@ -300,9 +286,6 @@ class CellModel:
     def top_index_of(self, cell):
         return cell // self.cells_per_top
 
-    def top_of(self, cell):
-        return self.tops[self.top_index_of(cell)]
-
     def digits_of(self, cell):
         rem = cell % self.cells_per_top
         out = []
@@ -311,17 +294,6 @@ class CellModel:
             out.append(rem // power)
             rem %= power
         return tuple(out)
-
-    def cell_id(self, top_index, digits):
-        if len(digits) != self.level - 1:
-            raise ModelError("need level-1 digits")
-        rem = 0
-        for d in digits:
-            rem = rem * self.branching + d
-        return top_index * self.cells_per_top + rem
-
-    def label_of(self, cell):
-        return self.top_of(cell).label
 
     def ball(self, top_index, prefix=()):
         return Ball(self, top_index, prefix)
@@ -333,11 +305,6 @@ class CellModel:
         for t in range(len(self.tops)):
             for prefix in itertools.product(range(self.branching), repeat=depth - 1):
                 yield Ball(self, t, prefix)
-
-    def representative(self, cell):
-        if self.rep_fn is None:
-            return {"top": self.top_index_of(cell), "digits": list(self.digits_of(cell))}
-        return self.rep_fn(self, cell)
 
     # -- joins and distance ----------------------------------------------------
 
@@ -554,54 +521,6 @@ def _projective_transitions(p, n, precision):
     return transitions
 
 
-def _projective_rep(model, cell):
-    """Canonical homogeneous coordinates as base-q digit strings per slot."""
-    q = model.p**model.f
-    n = model.dimension
-    chart, residues = model.tops[model.top_index_of(cell)].data
-    free = [j for j in range(n + 1) if j != chart]
-    coords = {chart: [1] + [0] * (model.level - 1)}
-    for j in free:
-        coords[j] = [residues[j]]
-    for digit in model.digits_of(cell):
-        parts = []
-        for _ in range(n):
-            parts.append(digit % q)
-            digit //= q
-        parts.reverse()
-        for j, part in zip(free, parts):
-            coords[j].append(part)
-    return {
-        "chart": chart,
-        "coordinate_digits": [coords[j] for j in range(n + 1)],
-    }
-
-
-def _projective_chart_coords(model, ball, chart, modulus_exp):
-    """Center of a ball in a chart's coordinates, mod p^modulus_exp (f=1)."""
-    if model.f != 1:
-        raise ModelError("coordinate arithmetic implemented for prime fields only")
-    p = model.p
-    n = model.dimension
-    top = model.tops[ball.top_index]
-    c0, residues = top.data
-    free = [j for j in range(n + 1) if j != c0]
-    values = {c0: 1}
-    for j in free:
-        values[j] = residues[j]
-    for k, digit in enumerate(ball.prefix, start=1):
-        parts = []
-        for _ in range(n):
-            parts.append(digit % p)
-            digit //= p
-        parts.reverse()
-        for j, part in zip(free, parts):
-            values[j] += part * p**k
-    modulus = p**modulus_exp
-    inv = pow(values[chart], -1, modulus)
-    return tuple(values[k] * inv % modulus for k in range(n + 1) if k != chart)
-
-
 def build_projective_model(p, n, level, f=1):
     """P^n over the unramified field with residue size q = p^f.
 
@@ -615,9 +534,7 @@ def build_projective_model(p, n, level, f=1):
         raise ModelError("projective models are built for n in {1, 2}")
     q = FiniteField(p, f).q
     tops = _projective_tops(q, n)
-    model = CellModel(
-        f"P{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), True, rep_fn=_projective_rep
-    )
+    model = CellModel(f"P{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), True)
     atlas = Atlas(_projective_transitions(p, n, level + 4))
     return model, atlas, model.nerve
 
@@ -637,10 +554,7 @@ def build_Y_model(p, n, level, f=1):
     tops = [
         TopBall(i, t.region, t.label, data=t.data) for i, t in enumerate(survivors)
     ]
-    model = CellModel(
-        f"Y{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), False,
-        rep_fn=_projective_rep,
-    )
+    model = CellModel(f"Y{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), False)
     atlas = Atlas(_projective_transitions(p, n, level + 4))
     return model, atlas, model.nerve
 
@@ -648,63 +562,24 @@ def build_Y_model(p, n, level, f=1):
 def verify_ball_transition_consistency(model, atlas, max_depth=2):
     """Check that every transition maps each applicable ball to an equal-radius ball.
 
-    A transition (i, j) applies to a ball whose top region contains both i
-    and j; every ball of depth 1 .. max_depth is expressed in chart-i
-    coordinates and probed two digits below its radius.  Returns
-    (checked, failures).
+    Transition (i, j) applies to the chart-i balls on which x_j is a unit,
+    its own `ball_centers(depth)`.  A centre lies in the region of i and
+    the charts of its unit coordinates, and is probed, two digits below its
+    radius, when that region is in the model's census (f = 1 only).
+    Returns (checked, failures), a failure as ((i, j), depth, centre).
     """
+    if model.f != 1:
+        raise ModelError("coordinate arithmetic implemented for prime fields only")
     checked = 0
     failures = []
-    for depth in range(1, min(max_depth, model.level) + 1):
-        for ball in model.balls(depth):
-            region = model.tops[ball.top_index].region
-            for (i, j), tau in atlas.transitions.items():
-                if i not in region or j not in region:
+    for (i, j), tau in atlas.transitions.items():
+        charts = [k for k in model.chart_ids if k != i]
+        for depth in range(1, min(max_depth, model.level) + 1):
+            for centre in tau.ball_centers(depth):
+                region = frozenset([i] + [k for k, x in zip(charts, centre) if x % model.p])
+                if region not in model._census:
                     continue
-                center = _projective_chart_coords(model, ball, i, depth)
                 checked += 1
-                if not ball_image_is_equal_radius(tau, center, depth):
-                    failures.append((ball.id_string, (i, j)))
+                if not ball_image_is_equal_radius(tau, centre, depth):
+                    failures.append(((i, j), depth, centre))
     return checked, failures
-
-
-def model_to_json(model, include_cells=True):
-    """JSON document for a model and its nerve (schema padic-spectra/model-v1)."""
-    doc = {
-        "schema": "padic-spectra/model-v1",
-        "model": model.name,
-        "p": model.p,
-        "f": model.f,
-        "dimension": model.dimension,
-        "level": model.level,
-        "branching": model.branching,
-        "num_cells": model.num_cells,
-        "total_measure": _frac_str(model.total_measure),
-        "charts": list(model.chart_ids),
-        "simplices": model.nerve.to_json_entries(),
-    }
-    if include_cells:
-        cells = []
-        per = model.cells_per_top
-        measure = _frac_str(model.cell_measure)
-        for cell in range(model.num_cells):
-            top = model.top_of(cell)
-            if model.level == 1:
-                parent_ball = Ball(model, top.index).parent()
-                parent = parent_ball.id_string if parent_ball is not None else None
-            else:
-                parent = Ball(
-                    model, top.index, model.digits_of(cell)[:-1]
-                ).id_string
-            cells.append(
-                {
-                    "id": cell,
-                    "charts": sorted(top.region),
-                    "measure": measure,
-                    "parent": parent,
-                    "region": top.label,
-                    "representative": model.representative(cell),
-                }
-            )
-        doc["cells"] = cells
-    return doc

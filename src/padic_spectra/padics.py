@@ -21,7 +21,6 @@ __all__ = [
     "PAdicError",
     "PrecisionError",
     "PAdicNumber",
-    "padic_norm",
     "matrix_norm",
     "matrix_sub_identity",
     "matrix_det",
@@ -123,16 +122,6 @@ class PAdicNumber:
             return Fraction(0)
         v = self.valuation
         return Fraction(1, self.p**v) if v >= 0 else Fraction(self.p ** (-v))
-
-    def with_precision(self, precision):
-        """Truncate to fewer known digits (raising precision is impossible)."""
-        if precision > self.precision:
-            raise PrecisionError(
-                f"cannot raise precision from {self.precision} to {precision}"
-            )
-        if self.is_zero:
-            return PAdicNumber.zero(self.p, precision)
-        return PAdicNumber(self.p, self.valuation, self.unit % self.p**precision, precision)
 
     def agrees_with(self, other):
         """Equality at the shared precision: no known digit distinguishes the two."""
@@ -260,11 +249,6 @@ class PAdicNumber:
             f"PAdic({self.unit}*{self.p}^{self.valuation}"
             f" + O({self.p}^{self.valuation + self.precision}))"
         )
-
-
-def padic_norm(x):
-    """Exact rational |x|_p for a PAdicNumber (0 for exact zero)."""
-    return x.norm()
 
 
 # -- small matrices of p-adic numbers ---------------------------------------

@@ -5,7 +5,7 @@ Q_p^n to Q_p^n.  Each component is a polynomial, or a ratio of polynomials
 whose denominator is a unit everywhere on the stated domain (the projective
 transition maps need ratios; everything else is plain polynomials).
 
-Coefficients are :class:`~padic_spectra.padics.PAdicNumber`.  Bulk point
+Coefficients are :class:`~padic_spectra.padics.PAdicNumber`.  Point
 evaluation (ball-image enumeration, Newton inversion) runs in residue
 arithmetic modulo p^k, which agrees with the p-adic arithmetic on p-adic
 integers and is far cheaper.
@@ -39,20 +39,6 @@ def _as_padic(value, p, precision):
     if isinstance(value, PAdicNumber):
         return value
     return PAdicNumber.from_rational(value, p, precision)
-
-
-def _poly_eval_padic(coeffs, point, p, precision):
-    total = PAdicNumber.zero(p, precision)
-    for exps, c in coeffs.items():
-        term = c
-        for x, e in zip(point, exps):
-            for _ in range(e):
-                term = term * x
-        try:
-            total = total + term
-        except PrecisionError:
-            total = PAdicNumber.zero(p, precision)
-    return total
 
 
 def _eval_terms(terms, point):
@@ -138,15 +124,6 @@ class PolynomialMap:
         yield from points
 
     # -- evaluation ------------------------------------------------------------
-
-    def evaluate(self, point):
-        """Evaluate at a tuple of PAdicNumber."""
-        out = []
-        for numer, denom in self.components:
-            num = _poly_eval_padic(numer, point, self.p, self.precision)
-            den = _poly_eval_padic(denom, point, self.p, self.precision)
-            out.append(num / den)
-        return tuple(out)
 
     def residue_function(self, k):
         """A fast evaluator on integer residue tuples modulo p^k.

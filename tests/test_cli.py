@@ -115,6 +115,15 @@ def test_count_command(capsys):
     assert doc["branch_points_rational"] is True
 
 
+def test_count_refuses_a_coefficient_vector_longer_than_f(capsys):
+    code, out, err = run(
+        capsys, "count", "--p", "5", "--f", "2", "--a4", "1,0", "--a6", "1,1,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "length 3 exceeds f=2" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["count", "--p", "101", "--a4", "-1", "--a6", "0"],
@@ -630,6 +639,18 @@ def test_equalise_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_equalise_refuses_no_samples(capsys, tmp_path, samples):
+    # zero samples would report an unchecked identity as zero mismatches
+    F = PolynomialMap(5, [{(1,): 2}], ("disc",), 8)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(polymap_to_json_dict(F)))
+    code, out, err = run(capsys, "equalise", "--map", str(path), "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "at least one sample" in err
+
+
 CURVE_ARGV = ["--p", "13", "--a4", "-1", "--a6", "0"]
 P1_ARGV = ["--model", "projective", "--n", "1", "--p", "5"]
 
@@ -687,6 +708,18 @@ def test_readme_output_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_equalise_output_is_pinned(capsys, monkeypatch, tmp_path):
+    # run beside its map, as README does, so the echoed --map is my_map.json
+    monkeypatch.chdir(tmp_path)
+    F = PolynomialMap(5, [{(1,): 3, (2,): 25}], ("disc",), 8)
+    (tmp_path / "my_map.json").write_text(json.dumps(polymap_to_json_dict(F)))
+    code, out, err = run(capsys, "equalise", "--map", "my_map.json", "--seed", "1")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "15b2799486c3530a4b718e85bde999b49d0dc7013dd147fff7d86b8c66974b17"
+    )
 
 
 # the README examples that need no input file (all but equalise)

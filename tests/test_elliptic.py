@@ -26,7 +26,6 @@ from padic_spectra.elliptic import (
     hear_points,
     kappa_term,
     lambda0,
-    lambda0_argmin,
     published_eigenvalue,
     serre_invariant,
 )
@@ -147,7 +146,7 @@ def test_hasse_window():
 
 def test_fiber_census():
     model = build_elliptic_model(CurveSpec(13, -1, 0), 2)
-    labels = [model.label_of(t * 13) for t in range(len(model.tops))]
+    labels = [top.label for top in model.tops]
     assert labels.count("a") == 1
     assert labels.count("b") == 4
     assert labels.count("c") == 3
@@ -229,7 +228,7 @@ def test_closed_form_collapses_at_s_zero(region):
 def test_closed_form_matches_model_quadrature_float():
     model = build_elliptic_model(CurveSpec(17, -1, 0), 2)
     for ti in range(len(model.tops)):
-        region = model.label_of(ti * 17)
+        region = model.tops[ti].label
         lam = spectral.wavelet_eigenvalue_numeric(model, model.ball(ti), 1.5)
         ref = closed_form_eigenvalue(Fraction(1, 17), region, 1.5, 16, 17)
         assert abs(lam - ref) <= 1e-10 * abs(ref)
@@ -299,12 +298,6 @@ def test_lambda0_raises_when_minimum_leaves_maximal_balls(monkeypatch):
     )
     with pytest.raises(HearingError, match="maximal balls"):
         lambda0(8, q=13, s=2, level=3)
-
-
-def test_lambda0_argmin_reports_ties():
-    assert lambda0_argmin(8, 13, s=2) == [(Fraction(1, 13), "c")]
-    ties = lambda0_argmin(8, 13, s=0)
-    assert len(ties) == 3
 
 
 def test_hearing_round_trip_exact():

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from padic_spectra.padics import PAdicError
 from padic_spectra.fields import (
     FiniteField,
     additive_character_table,
-    fq_is_square,
 )
 
 
@@ -78,19 +78,8 @@ def test_trace_surjective_onto_prime_field():
 
 
 def test_squares_split_the_units_in_half():
-    F = FiniteField(13)
-    squares = [x for x in F.elements() if x.code != 0 and fq_is_square(x)]
-    assert len(squares) == 6
-    F2 = FiniteField(5, 2)
-    squares2 = [x for x in F2.elements() if x.code != 0 and fq_is_square(x)]
-    assert len(squares2) == 12
-
-
-def test_square_detection_matches_explicit_squaring():
-    F = FiniteField(17)
-    actual = {(x * x).code for x in F.elements()}
-    for x in F.elements():
-        assert fq_is_square(x) == (x.code in actual)
+    for F, half in ((FiniteField(13), 6), (FiniteField(5, 2), 12)):
+        assert len({(x * x).code for x in F.elements()} - {0}) == half
 
 
 def test_element_from_coeffs_roundtrip():
@@ -98,6 +87,11 @@ def test_element_from_coeffs_roundtrip():
     x = F.element_from_coeffs([3, 4])
     assert x == F.element_from_coeffs([3, 4])
     assert x - F.element_from_coeffs([3, 0]) == F.element_from_coeffs([0, 4])
+
+
+def test_element_from_coeffs_refuses_more_than_f_coefficients():
+    with pytest.raises(PAdicError, match="length 3 exceeds f=2"):
+        FiniteField(5, 2).element_from_coeffs([1, 1, 1])
 
 
 # -- character tables --------------------------------------------------------

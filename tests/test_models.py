@@ -1,4 +1,4 @@
-"""Cell models: construction census, measures, joins, distance, serialization.
+"""Cell models: construction census, measures, joins, distance, transition checks.
 
 Census values are combinatorial: a projective n-space over F_q has
 (q^(n+1)-1)/(q-1) residue points, each top ball is an n-dimensional unit
@@ -14,6 +14,7 @@ import pytest
 
 from padic_spectra import builtin_models
 from padic_spectra.models import (
+    Atlas,
     Ball,
     DisconnectedNerveError,
     ModelError,
@@ -21,9 +22,9 @@ from padic_spectra.models import (
     _census_distance,
     build_projective_model,
     build_Y_model,
-    model_to_json,
     verify_ball_transition_consistency,
 )
+from padic_spectra.polymaps import PolynomialMap
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +116,6 @@ def test_ball_measure_halving(p1):
     assert top.measure == Fraction(1, 5)
     assert child.measure == Fraction(1, 25)
     assert child.cell_range == (1, 2)
-    assert child.parent().measure == top.measure
 
 
 def test_ball_depth_capped_by_level(p1):
@@ -165,17 +165,13 @@ def test_distance_matrix_symmetric_positive(p1):
 
 
 def test_digits_roundtrip(p1):
-    model, _, _ = p1
-    for cell in range(model.num_cells):
-        t = model.top_index_of(cell)
-        assert model.cell_id(t, model.digits_of(cell)) == cell
-
-
-def test_representative_structure(p1):
-    model, _, _ = p1
-    rep = model.representative(7)
-    assert rep["chart"] in model.chart_ids
-    assert len(rep["coordinate_digits"]) == model.level
+    # a cell's digits are the base-c expansion of its index within its top
+    for model in (p1[0], build_projective_model(5, 1, 3)[0]):
+        c, per = model.branching, model.cells_per_top
+        for cell in range(model.num_cells):
+            rem = cell - model.top_index_of(cell) * per
+            expansion = tuple(rem // c**k % c for k in reversed(range(model.level - 1)))
+            assert model.digits_of(cell) == expansion
 
 
 def _branch_and_bound_distance(census, sa, sb, branching, chart_balls=False):
@@ -256,23 +252,36 @@ def test_ball_transition_consistency_on_the_line(p1):
     assert failures == []
 
 
-# -- serialization ---------------------------------------------------------------
+@pytest.mark.parametrize(
+    "build, n, level, max_depth, checked",
+    [
+        (build_projective_model, 1, 3, 2, 48),
+        (build_Y_model, 2, 2, 2, 624),
+        (build_projective_model, 2, 2, 1, 120),
+    ],
+    ids=["P1-m3", "Y2-m2", "P2-m2-depth1"],
+)
+def test_ball_transition_consistency_counts(build, n, level, max_depth, checked):
+    # one check per (transition, ball of the model on both its charts)
+    model, atlas, _ = build(5, n, level)
+    assert verify_ball_transition_consistency(model, atlas, max_depth) == (checked, [])
 
 
-def test_model_json_shape(p1):
+def test_ball_transition_consistency_reports_a_contracting_map(p1):
+    # x -> 5x on the sphere sends each radius-5^-d ball to one of radius 5^-(d+1)
     model, _, _ = p1
-    doc = model_to_json(model, include_cells=False)
-    assert doc["schema"] == "padic-spectra/model-v1"
-    assert doc["total_measure"] == "6/5"
-    assert doc["num_cells"] == 30
-    assert {"charts": [0, 1], "weight": "4/5"} in doc["simplices"]
-    assert "cells" not in doc
+    atlas = Atlas({(0, 1): PolynomialMap(5, [{(1,): 5}], ("sphere",), 8)})
+    checked, failures = verify_ball_transition_consistency(model, atlas, max_depth=2)
+    assert checked == 4 + 20
+    assert len(failures) == checked
+    assert failures[0] == ((0, 1), 1, (1,))
+    assert ((0, 1), 2, (24,)) in failures
 
 
-def test_model_json_with_cells(p1):
-    model, _, _ = p1
-    doc = model_to_json(model)
-    assert len(doc["cells"]) == model.num_cells
+def test_ball_transition_consistency_needs_a_prime_field():
+    model, atlas, _ = build_projective_model(5, 1, 2, f=2)
+    with pytest.raises(ModelError, match="prime fields"):
+        verify_ball_transition_consistency(model, atlas)
 
 
 @pytest.mark.parametrize(

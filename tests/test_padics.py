@@ -11,7 +11,6 @@ from padic_spectra.padics import (
     matrix_det,
     matrix_norm,
     matrix_sub_identity,
-    padic_norm,
 )
 
 
@@ -83,19 +82,10 @@ def test_subtraction_normal_case():
 def test_agrees_with_respects_shared_precision():
     a = PAdicNumber.from_int(7, 5, 8)
     b = PAdicNumber.from_int(7 + 5**3, 5, 8)
-    assert a.with_precision(3).agrees_with(b.with_precision(3))
+    b3 = PAdicNumber.from_int(7 + 5**3, 5, 3)
+    assert PAdicNumber.from_int(7, 5, 3).agrees_with(b3)
+    assert a.agrees_with(b3)
     assert not a.agrees_with(b)
-
-
-def test_with_precision_cannot_gain_digits():
-    a = PAdicNumber.from_int(7, 5, 3)
-    with pytest.raises(PrecisionError):
-        a.with_precision(9)
-
-
-def test_padic_norm_function():
-    assert padic_norm(PAdicNumber.from_int(50, 5, 8)) == Fraction(1, 25)
-    assert padic_norm(PAdicNumber.zero(5, 4)) == 0
 
 
 def test_mixed_prime_arithmetic_rejected():

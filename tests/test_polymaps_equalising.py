@@ -29,7 +29,6 @@ from padic_spectra.equalising import (
 from padic_spectra.models import Atlas, build_projective_model, build_Y_model
 from padic_spectra.padics import (
     PAdicError,
-    PAdicNumber,
     PrecisionError,
     matrix_norm,
     matrix_sub_identity,
@@ -123,16 +122,14 @@ def test_ball_image_equal_radius_spot_checks():
 
 def test_evaluate_matches_plain_arithmetic():
     F = _map1({(0,): 3, (1,): 2, (2,): 1})
-    x = PAdicNumber.from_int(4, 5, 8)
-    (y,) = F.evaluate((x,))
-    assert y.residue(4) == (3 + 2 * 4 + 16) % 5**4
+    (y,) = F.residue_function(4)((4,))
+    assert y == (3 + 2 * 4 + 16) % 5**4
 
 
 def test_rational_coefficients_evaluate_exactly():
     F = _map1({(1,): Fraction(1, 2)})
-    x = PAdicNumber.from_int(6, 5, 8)
-    (y,) = F.evaluate((x,))
-    assert y.residue(2) == 3
+    (y,) = F.residue_function(2)((6,))
+    assert y == 3
 
 
 def test_linear_part_reads_off_degree_one_terms():
@@ -187,6 +184,15 @@ def test_equalise_pair_two_dimensional():
     H, shift, psi = equalise_pair(F)
     assert matrix_norm(matrix_sub_identity(H.linear_part())) < 1
     assert check_composite_identity(F, H, psi, samples=40) == 0
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_composite_identity_needs_a_sample(samples):
+    # no sample would report zero mismatches for an unchecked identity
+    F = _map1({(1,): 2})
+    H, _, psi = equalise_pair(F)
+    with pytest.raises(ValueError, match="at least one sample"):
+        check_composite_identity(F, H, psi, samples)
 
 
 # -- serialization -------------------------------------------------------------
