@@ -205,13 +205,11 @@ def build_elliptic_model(curve, level):
     if level < 2:
         raise ValueError("elliptic models need level >= 2")
     _require_split(curve)
-    tops = [TopBall(0, REGION_CHARTS["a"], "a", data=("a", "inf"))]
+    tops = [TopBall(0, REGION_CHARTS["a"], "a")]
     points = _affine_points(curve)
-    for xc, yc in zip(points[::2], points[1::2]):
+    for yc in points[1::2]:
         label = "b" if yc else "c"
-        tops.append(
-            TopBall(len(tops), REGION_CHARTS[label], label, data=(label, [xc, yc]))
-        )
+        tops.append(TopBall(len(tops), REGION_CHARTS[label], label))
     return CellModel(
         f"E(q={curve.q}): y^2 = x^3 + {curve.A.code}x + {curve.B.code}",
         curve.p, curve.f, 1, level, tops, (0, 1), False,

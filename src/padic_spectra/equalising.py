@@ -27,16 +27,17 @@ J(c) is invertible mod p, which n + 1 evaluations decide: F(c) and
 F(c + p^N e_j), whose differences divided by p^N are the columns of J(c)
 mod p.  At level 0 the quadratic terms of F reach mod p, so there the
 search keeps the exhaustive probe.  That probe, ball_image_is_equal_radius,
-evaluates the map at all p^(2n) residues of the ball in one pass and
-certifies the ball when every image lies in the equal-radius ball around
-the centre's image and no two residues collide; it is the certificate's
-oracle.
+evaluates the map at all p^(2n) residues of the ball, in numpy blocks of
+consecutive residues, and certifies the ball when every image lies in the
+equal-radius ball around the centre's image and no two residues collide;
+it is the certificate's oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+
+import numpy as np
 
 from .padics import (
     PAdicError,
@@ -45,7 +46,14 @@ from .padics import (
     matrix_norm,
     matrix_sub_identity,
 )
-from .polymaps import NewtonInverse, _solve_linear_residue, identity_map
+from .polymaps import (
+    DomainError,
+    NewtonInverse,
+    PolynomialMap,
+    _residue_dtype,
+    _solve_linear_residue,
+    identity_map,
+)
 
 __all__ = [
     "NOT_EQUALISING",
@@ -61,10 +69,11 @@ __all__ = [
 CERTIFY_DIGITS = 2
 SAMPLE_SIZE = 32
 DEFAULT_SAMPLE_SEED = 20240517
+_PROBE_BLOCK = 2048  # residues per block of the exhaustive probe
 
 
 class NotInvertibleError(PAdicError):
-    """The linear part of a map is singular at working precision."""
+    """The linear part of a map is not invertible over the p-adic integers."""
 
 
 class NotEqualising:
@@ -116,29 +125,77 @@ def _centers_for_level(F, level, rng):
     return sorted(seen)
 
 
-def _ball_image_is_equal_ball(apply_f, p, n, center, level, probe):
-    """One pass over the span^n residues x of the ball mod p^probe: the
-    ball maps onto the equal-radius ball around F(center) exactly when
-    every F(x) is F(center) mod p^level and no two share an image, since
-    both sides have span^n points.  Each image's digits below the ball
-    radius are marked in a bytearray, and the first image outside the
-    ball or the first collision returns False."""
+def _pointwise_blocks(apply_f):
+    """The block form of a per-point residue function, filled one point at a
+    time.  When a point raises, the block ends before it, so the next block
+    starts there and raises only if no earlier point has failed the probe."""
+
+    def apply(xs):
+        images = []
+        try:
+            for x in zip(*(x.tolist() for x in xs)):
+                images.append(apply_f(x))
+        except (PAdicError, ArithmeticError):
+            if not images:
+                raise
+        return list(np.array(images, xs[0].dtype).T), None
+
+    return apply
+
+
+def _residue_blocks(F, k):
+    """F's block evaluator modulo p^k; a map with only a per-point
+    residue_function (the Newton-based psi) is filled point by point."""
+    if isinstance(F, PolynomialMap):
+        return F.residue_block_function(k)
+    return _pointwise_blocks(F.residue_function(k))
+
+
+def _ball_image_is_equal_ball(apply_block, p, n, center, level, probe):
+    """Whether the span^n residues x of the ball mod p^probe map onto the
+    equal-radius ball around F(center): exactly when every F(x) is
+    F(center) mod p^level and no two share an image, since both sides have
+    span^n points.  The residues are walked in itertools.product order, in
+    blocks of _PROBE_BLOCK, and the first failing residue decides, as in a
+    loop over single points: an image outside the ball or a collision with
+    an earlier image returns False, a non-unit denominator raises
+    DomainError.  Each image's digits below the ball radius are marked in a
+    boolean mask."""
     modulus = p**probe
     step = p**level
     span = p ** (probe - level)
-    y0 = apply_f(center)
-    axes = [[(center[i] + step * t) % modulus for t in range(span)] for i in range(n)]
-    seen = bytearray(span**n)
-    for x in itertools.product(*axes):
-        index = 0
-        for y, y_c in zip(apply_f(x), y0):
-            digits, off = divmod((y - y_c) % modulus, step)
-            if off:
-                return False
-            index = index * span + digits
-        if seen[index]:
+    dtype = _residue_dtype(modulus)
+    center = [c % modulus for c in center]
+    # a non-unit denominator at the centre raises at the walk's first residue
+    y0 = [int(y[0]) for y in apply_block([np.array([c], dtype) for c in center])[0]]
+    axes = [(c + step * np.arange(span).astype(dtype)) % modulus for c in center]
+    total = span**n
+    seen = np.zeros(total, bool)
+    start = 0
+    while start < total:
+        code = np.arange(start, min(start + _PROBE_BLOCK, total))
+        xs = [None] * n
+        for i in range(n - 1, -1, -1):
+            code, digit = np.divmod(code, span)
+            xs[i] = axes[i][digit]
+        ys, bad = apply_block(xs)
+        size = len(ys[0])
+        fail = np.zeros(size, bool) if bad is None else bad.copy()
+        index = np.zeros(size, np.int64)
+        for y, y_c in zip(ys, y0):
+            offset = (y - y_c) % modulus
+            fail |= offset % step != 0
+            index = index * span + (offset // step).astype(np.int64)
+        order = np.argsort(index, kind="stable")
+        repeat = np.zeros(size, bool)
+        repeat[order[1:][index[order[1:]] == index[order[:-1]]]] = True
+        fail |= repeat | seen[index]
+        if fail.any():
+            if bad is not None and bad[np.argmax(fail)]:
+                raise DomainError("denominator not a unit at this point")
             return False
-        seen[index] = 1
+        seen[index] = True
+        start += size
     return True
 
 
@@ -169,13 +226,22 @@ def _jacobian_is_unit(apply_f, p, n, center, level):
 def ball_image_is_equal_radius(F, center, level):
     """Whether F maps the ball (center mod p^level) onto an equal-radius ball.
 
-    Exhaustive over the ball's residues modulo p^(level + CERTIFY_DIGITS):
-    the oracle of the Hensel certificate that equalising_number_of_map
-    uses at levels >= 1.
+    Exhaustive over the ball's residues modulo p^(level + CERTIFY_DIGITS),
+    evaluated in numpy blocks: the oracle of the Hensel certificate that
+    equalising_number_of_map uses at levels >= 1.  Raises ValueError when
+    the centre does not have F.dimension coordinates or the level is
+    negative, and DomainError when the first residue that decides the ball
+    has a non-unit denominator.
     """
+    if len(center) != F.dimension:
+        raise ValueError(
+            f"centre has {len(center)} coordinates, the map takes {F.dimension}"
+        )
+    if level < 0:
+        raise ValueError(f"ball level must be >= 0, got {level}")
     probe = level + CERTIFY_DIGITS
-    apply_f = F.residue_function(probe)
-    return _ball_image_is_equal_ball(apply_f, F.p, F.dimension, center, level, probe)
+    apply_block = _residue_blocks(F, probe)
+    return _ball_image_is_equal_ball(apply_block, F.p, F.dimension, center, level, probe)
 
 
 def _check_radius_range(radius_range):
@@ -222,13 +288,14 @@ def equalising_number_of_map(F, radius_range):
         if not centers:
             works[level] = False
             continue
-        apply_f = F.residue_function(probe)
         if level == 0:
+            apply_block = _residue_blocks(F, probe)
             works[level] = all(
-                _ball_image_is_equal_ball(apply_f, F.p, F.dimension, c, level, probe)
+                _ball_image_is_equal_ball(apply_block, F.p, F.dimension, c, level, probe)
                 for c in centers
             )
         else:
+            apply_f = F.residue_function(probe)
             works[level] = all(
                 _jacobian_is_unit(apply_f, F.p, F.dimension, c, level) for c in centers
             )
@@ -282,14 +349,18 @@ def equalise_pair(F):
     iteration when none is registered (this needs the Jacobian to be a unit
     along the orbit, which holds for the maps built here).
 
-    Raises NotInvertibleError when A is singular at working precision.
+    Raises NotInvertibleError when det A is not a p-adic unit: a
+    bi-analytic map of the polydisc has a unit Jacobian everywhere, so such
+    an F (x -> p*x, say) has no inverse to repair it with.
     """
     A = F.linear_part()
     n = F.dimension
     if matrix_norm(matrix_sub_identity(A)) < 1:
         return F, float("-inf"), identity_map(F.p, n, F.precision, F.domain)
-    if matrix_det(A).is_zero:
-        raise NotInvertibleError("linear part is singular at working precision")
+    if matrix_det(A).valuation != 0:
+        raise NotInvertibleError(
+            "linear part is not invertible mod p: det A is not a p-adic unit"
+        )
     norm_a = matrix_norm(A)
     m = 0
     if norm_a >= 1:

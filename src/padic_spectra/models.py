@@ -147,13 +147,12 @@ class NerveComplex:
 class TopBall:
     """A depth-1 ball: reduction fiber with its chart region and label."""
 
-    __slots__ = ("index", "region", "label", "data")
+    __slots__ = ("index", "region", "label")
 
-    def __init__(self, index, region, label, data=None):
+    def __init__(self, index, region, label):
         self.index = index
         self.region = frozenset(region)
         self.label = label
-        self.data = data
 
     def __repr__(self):
         return f"TopBall({self.index}, {self.label!r}, charts={sorted(self.region)})"
@@ -297,14 +296,6 @@ class CellModel:
 
     def ball(self, top_index, prefix=()):
         return Ball(self, top_index, prefix)
-
-    def balls(self, depth):
-        """All balls at a given depth >= 1."""
-        if depth < 1 or depth > self.level:
-            raise ModelError("depth out of range")
-        for t in range(len(self.tops)):
-            for prefix in itertools.product(range(self.branching), repeat=depth - 1):
-                yield Ball(self, t, prefix)
 
     # -- joins and distance ----------------------------------------------------
 
@@ -480,14 +471,8 @@ def _projective_tops(q, n):
         free = [j for j in range(n + 1) if j != chart]
         choices = [[0] if j < chart else list(range(q)) for j in free]
         for combo in itertools.product(*choices):
-            residues = dict(zip(free, combo))
-            region = frozenset(
-                [chart] + [j for j in free if j > chart and residues[j] != 0]
-            )
-            index = len(tops)
-            tops.append(
-                TopBall(index, region, f"chart{chart}", data=(chart, residues))
-            )
+            region = frozenset([chart] + [j for j, r in zip(free, combo) if j > chart and r])
+            tops.append(TopBall(len(tops), region, f"chart{chart}"))
     return tops
 
 
@@ -551,9 +536,7 @@ def build_Y_model(p, n, level, f=1):
     q = FiniteField(p, f).q
     full = frozenset(range(n + 1))
     survivors = [t for t in _projective_tops(q, n) if t.region != full]
-    tops = [
-        TopBall(i, t.region, t.label, data=t.data) for i, t in enumerate(survivors)
-    ]
+    tops = [TopBall(i, t.region, t.label) for i, t in enumerate(survivors)]
     model = CellModel(f"Y{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), False)
     atlas = Atlas(_projective_transitions(p, n, level + 4))
     return model, atlas, model.nerve

@@ -8,12 +8,15 @@ transition maps need ratios; everything else is plain polynomials).
 Coefficients are :class:`~padic_spectra.padics.PAdicNumber`.  Point
 evaluation (ball-image enumeration, Newton inversion) runs in residue
 arithmetic modulo p^k, which agrees with the p-adic arithmetic on p-adic
-integers and is far cheaper.
+integers and is far cheaper; ball probes evaluate numpy blocks of points
+from the same compiled term lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .padics import PAdicError, PAdicNumber, PrecisionError
 
@@ -33,6 +36,12 @@ SPHERE = "sphere"
 
 class DomainError(PAdicError):
     """A point or ball lies outside a map's stated domain."""
+
+
+def _residue_dtype(modulus):
+    """The array dtype of residues mod `modulus`: int64 while a product of
+    two residues fits in it, else Python integers (object)."""
+    return np.int64 if modulus < 2**31 else object
 
 
 def _as_padic(value, p, precision):
@@ -125,6 +134,21 @@ class PolynomialMap:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _residue_tables(self, k):
+        """Per component, the numerator's term list modulo p^k and the
+        denominator's, or None when the denominator is a constant unit,
+        which is folded into the numerator's coefficients."""
+        p = self.p
+        modulus = p**k
+        tables = []
+        for numer, denom in self.components:
+            num, den = self._terms(numer, k), self._terms(denom, k)
+            if len(den) == 1 and not den[0][1] and den[0][0] % p:
+                inv = pow(den[0][0], -1, modulus)
+                num, den = [(c * inv % modulus, v) for c, v in num], None
+            tables.append((num, den))
+        return tables
+
     def residue_function(self, k):
         """A fast evaluator on integer residue tuples modulo p^k.
 
@@ -139,13 +163,7 @@ class PolynomialMap:
         """
         p = self.p
         modulus = p**k
-        tables = []
-        for numer, denom in self.components:
-            num, den = self._terms(numer, k), self._terms(denom, k)
-            if len(den) == 1 and not den[0][1] and den[0][0] % p:
-                inv = pow(den[0][0], -1, modulus)
-                num, den = [(c * inv % modulus, v) for c, v in num], None
-            tables.append((num, den))
+        tables = self._residue_tables(k)
         inverse_memo = {}
 
         def apply(point):
@@ -163,6 +181,60 @@ class PolynomialMap:
                     value *= inv
                 out.append(value % modulus)
             return tuple(out)
+
+        return apply
+
+    def residue_block_function(self, k):
+        """The evaluator of residue_function(k) on a block of points.
+
+        Takes n equal-length integer arrays, one per coordinate, and returns
+        (images, bad): the n arrays of image residues mod p^k, and None or
+        the boolean mask of the points where a denominator is not a unit
+        (their images are meaningless).  Uses the same term lists, reduced
+        after each product, in int64 when p^k < 2^31 (a product of two
+        residues fits) and in Python integers (dtype=object) otherwise.  A
+        denominator other than a constant unit is inverted elementwise by
+        raising it to phi(p^k) - 1.
+        """
+        p = self.p
+        modulus = p**k
+        dtype = _residue_dtype(modulus)
+        tables = self._residue_tables(k)
+        exponent = (p - 1) * p ** max(k - 1, 0) - 1
+
+        def evaluate(terms, xs):
+            total = np.zeros(len(xs[0]), dtype)
+            for c, variables in terms:
+                term = c
+                for i in variables:
+                    term = term * xs[i] % modulus
+                total += term  # fewer than 2^32 residues below 2^31 fit in int64
+            return total % modulus
+
+        def invert(d):
+            result, e = np.ones_like(d), exponent
+            while e:
+                if e & 1:
+                    result = result * d % modulus
+                d = d * d % modulus
+                e >>= 1
+            return result
+
+        def apply(xs):
+            xs = [np.asarray(x, dtype) % modulus for x in xs]
+            images, bad, inverses = [], None, {}
+            for num, den in tables:
+                value = evaluate(num, xs)
+                if den is not None:
+                    key = tuple(den)  # components often share a denominator
+                    if key not in inverses:
+                        d = evaluate(den, xs)
+                        not_unit = d % p == 0
+                        bad = not_unit if bad is None else bad | not_unit
+                        inverses[key] = invert(d)
+                    value = value * inverses[key] % modulus
+                images.append(value)
+            return images, bad
 
         return apply
 

@@ -639,6 +639,17 @@ def test_equalise_missing_file(capsys):
     assert code == 2
 
 
+def test_equalise_refuses_a_map_not_invertible_mod_p(capsys, tmp_path):
+    # x -> 5x is invertible over Q_p but not on the unit disc
+    F = PolynomialMap(5, [{(1,): 5}], ("disc",), 8)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(polymap_to_json_dict(F)))
+    code, out, err = run(capsys, "equalise", "--map", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: linear part is not invertible mod p: det A is not a p-adic unit\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_equalise_refuses_no_samples(capsys, tmp_path, samples):
     # zero samples would report an unchecked identity as zero mismatches

@@ -258,8 +258,9 @@ def test_ball_transition_consistency_on_the_line(p1):
         (build_projective_model, 1, 3, 2, 48),
         (build_Y_model, 2, 2, 2, 624),
         (build_projective_model, 2, 2, 1, 120),
+        (build_projective_model, 2, 2, 2, 3120),
     ],
-    ids=["P1-m3", "Y2-m2", "P2-m2-depth1"],
+    ids=["P1-m3", "Y2-m2", "P2-m2-depth1", "P2-m2"],
 )
 def test_ball_transition_consistency_counts(build, n, level, max_depth, checked):
     # one check per (transition, ball of the model on both its charts)

@@ -8,19 +8,25 @@ independently of the library (see the per-map notes).
 
 import itertools
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from padic_spectra import equalising
 from padic_spectra.equalising import (
     CERTIFY_DIGITS,
     DEFAULT_SAMPLE_SEED,
     NOT_EQUALISING,
     SAMPLE_SIZE,
+    NotInvertibleError,
     _ball_image_is_equal_ball,
     _centers_for_level,
     _jacobian_is_unit,
+    _pointwise_blocks,
     ball_image_is_equal_radius,
     check_composite_identity,
     equalise_pair,
@@ -221,10 +227,11 @@ def test_json_rejects_unknown_schema():
         polymap_from_json_dict(doc)
 
 
-# -- the compiled evaluators and the one-pass probe against the old code ------
+# -- the compiled evaluators and the ball probe against the old code ----------
 #
-# Test-local copies of the per-point residue evaluator and of the two-set ball
-# probe that the compiled term lists and the one-pass probe replaced.
+# Test-local copies of the per-point residue evaluator, of the two-set ball
+# probe that the compiled term lists and the one-pass probe replaced, and of
+# the one-pass loop over single points that the block probe replaced.
 
 
 def _old_poly_eval_residue(coeffs_mod, point, modulus):
@@ -283,6 +290,26 @@ def _old_ball_probe(apply_f, p, n, center, level, probe):
     return image == target
 
 
+def _loop_ball_probe(apply_f, p, n, center, level, probe):
+    modulus = p**probe
+    step = p**level
+    span = p ** (probe - level)
+    y0 = apply_f(center)
+    axes = [[(center[i] + step * t) % modulus for t in range(span)] for i in range(n)]
+    seen = bytearray(span**n)
+    for x in itertools.product(*axes):
+        index = 0
+        for y, y_c in zip(apply_f(x), y0):
+            digits, off = divmod((y - y_c) % modulus, step)
+            if off:
+                return False
+            index = index * span + digits
+        if seen[index]:
+            return False
+        seen[index] = 1
+    return True
+
+
 def _outcome(apply, point):
     try:
         return apply(point)
@@ -304,7 +331,7 @@ def _random_poly(rng, p, n, terms, unit_constant=None):
     return coeffs
 
 
-def _evaluator_cases():
+def _evaluator_cases(precision=8):
     rng = random.Random(4112)
     cases = []
     for p in (5, 7):
@@ -320,10 +347,10 @@ def _evaluator_cases():
                 {(0,) * n: p},  # constant, not a unit
                 _random_poly(rng, p, n, 3, unit_constant=p),  # a unit at some points only
             ]
-            cases.append(PolynomialMap(p, polys, domain, 8))
-            cases.append(PolynomialMap(p, list(zip(polys, denominators)), domain, 8))
+            cases.append(PolynomialMap(p, polys, domain, precision))
+            cases.append(PolynomialMap(p, list(zip(polys, denominators)), domain, precision))
             cases.append(PolynomialMap(p, [(polys[0], denominators[len(cases) % 5])] + polys[1:],
-                                       domain, 8))
+                                       domain, precision))
     return cases
 
 
@@ -341,12 +368,39 @@ def test_compiled_residue_function_matches_the_per_point_evaluator(index):
             assert _outcome(new, x) == _outcome(old, x)
 
 
+def _block_outcomes(F, k, points):
+    """Per point, the block evaluator's image, or DomainError where its mask
+    marks a non-unit denominator."""
+    images, bad = F.residue_block_function(k)([np.array(x) for x in zip(*points)])
+    return [DomainError if bad is not None and bad[j] else tuple(int(y[j]) for y in images)
+            for j in range(len(points))]
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_block_evaluator_matches_the_per_point_evaluator(index):
+    # int64 up to p^k < 2^31 (5^13 is the last such power of 5), Python
+    # integers past it
+    rng = random.Random(index)
+    cases = [(_evaluator_cases()[index], range(1, 9)),
+             (_evaluator_cases(16)[index], (13, 14, 16))]
+    for F, ks in cases:
+        for k in ks:
+            modulus = F.p**k
+            points = [tuple(rng.randrange(3 * modulus) for _ in range(F.dimension))
+                      for _ in range(60)]
+            points += itertools.islice(F.ball_centers(min(k, 2)), 40)
+            apply_f = F.residue_function(k)
+            assert _block_outcomes(F, k, points) == [_outcome(apply_f, x) for x in points]
+
+
 def test_constant_non_unit_denominator_raises_on_every_point():
     F = PolynomialMap(5, [({(1,): 1}, {(0,): 10})], ("disc",), 8)
     apply_f = F.residue_function(3)
     for x in range(0, 125, 7):
         with pytest.raises(DomainError):
             apply_f((x,))
+    _, bad = F.residue_block_function(3)([np.arange(0, 125, 7)])
+    assert bad.all()
 
 
 @pytest.mark.parametrize("index", range(0, 18, 3))
@@ -417,16 +471,23 @@ def _probe_balls(F, rng):
 
 @pytest.mark.parametrize("name", list(_probe_maps()))
 def test_one_pass_probe_matches_the_two_set_probe(name):
+    # the block probe against both oracles: the two-set probe and the loop
+    # over single points; sphere balls at level 0 and off the sphere raise
     F = _probe_maps()[name]
     rng = random.Random(name)
+    balls = _probe_balls(F, rng)
+    if "sphere" in F.domain:
+        balls += _sphere_level_zero_balls(F) + [((0,), 1), ((5,), 2)]
     answers = set()
-    for center, level in _probe_balls(F, rng):
+    for center, level in balls:
         probe = level + 2
-        expected = _old_ball_probe(
-            _old_residue_function(F, probe), F.p, F.dimension, center, level, probe
-        )
-        assert ball_image_is_equal_radius(F, center, level) == expected, (center, level)
+        expected = _result(_old_ball_probe, _old_residue_function(F, probe), F.p, F.dimension,
+                           center, level, probe)
+        assert _result(ball_image_is_equal_radius, F, center, level) == expected, (center, level)
+        assert _result(_loop_answer, F, center, level) == expected, (center, level)
         answers.add((level, expected))
+    if name == "inverse-on-sphere":
+        assert {answer for _, answer in answers} == {True, DomainError}
     if name == "p-x":
         assert answers == {(0, False), (1, False), (2, False)}
     if name.startswith("repaired"):
@@ -462,17 +523,19 @@ def test_one_pass_probe_on_images_outside_the_ball(leave):
     apply_f = _digit_map(p, probe, leave)
     for c in range(p):
         expected = _old_ball_probe(apply_f, p, 1, (c,), level, probe)
-        assert _ball_image_is_equal_ball(apply_f, p, 1, (c,), level, probe) == expected
+        block = _pointwise_blocks(apply_f)
+        assert _ball_image_is_equal_ball(block, p, 1, (c,), level, probe) == expected
+        assert _loop_ball_probe(apply_f, p, 1, (c,), level, probe) == expected
         assert expected is not leave
 
 
 # -- the Hensel certificate against the exhaustive probe ----------------------
 
 
-def _answer(decide, F, center, level):
-    """A ball's answer, or the type of the error deciding it raised."""
+def _result(call, *args):
+    """call(*args), or the type of the error it raised."""
     try:
-        return decide(F, center, level)
+        return call(*args)
     except (PAdicError, ArithmeticError) as err:
         return type(err)
 
@@ -485,8 +548,8 @@ def _certificate(F, center, level):
 def _assert_certificate_matches_probe(F, balls):
     answers = set()
     for center, level in balls:
-        expected = _answer(ball_image_is_equal_radius, F, center, level)
-        assert _answer(_certificate, F, center, level) == expected, (center, level)
+        expected = _result(ball_image_is_equal_radius, F, center, level)
+        assert _result(_certificate, F, center, level) == expected, (center, level)
         answers.add(expected)
     return answers
 
@@ -626,3 +689,240 @@ def test_atlas_rejects_a_bad_radius_range_with_or_without_transitions(radius_ran
         with pytest.raises(ValueError, match="bad radius range"):
             atlas.equalising_number(radius_range)
     assert Atlas({}).equalising_number((1, 3)) == 1
+
+
+# -- the block probe against the one-pass loop ---------------------------------
+
+
+def _loop_answer(F, center, level):
+    probe = level + CERTIFY_DIGITS
+    apply_f = F.residue_function(probe)
+    return _loop_ball_probe(apply_f, F.p, F.dimension, center, level, probe)
+
+
+def _assert_block_probe_matches_the_loop(F, balls):
+    answers = set()
+    for center, level in balls:
+        expected = _result(_loop_answer, F, center, level)
+        answer = _result(ball_image_is_equal_radius, F, center, level)
+        assert answer == expected, (center, level)
+        answers.add(expected)
+    return answers
+
+
+def _sphere_level_zero_balls(F):
+    """Level-0 balls of a map with a sphere factor, which ball_centers(0)
+    omits: the walk from centre (c, ..., c) meets a non-unit residue."""
+    return [((c,) * F.dimension, 0) for c in range(F.p)]
+
+
+# (5x)/x is the constant 5 on units: from centre 1 the second residue
+# collides before the walk reaches the non-unit 5; from centre 4 the
+# second residue is 5
+FIVE_OVER_ONE = PolynomialMap(5, [({(1,): 5}, {(1,): 1})], ("sphere",), 8)
+
+
+@pytest.mark.parametrize("name", list(ATLASES))
+def test_block_probe_matches_the_loop_on_atlas_transitions(name):
+    # every depth-1 ball, 8 seeded depth-2 and 2 seeded depth-3 balls per
+    # transition, the level-0 balls, and centres off the unit sphere
+    rng = random.Random(name)
+    answers = set()
+    for tau in ATLASES[name]().transitions.values():
+        balls = _sphere_level_zero_balls(tau) + [(c, 1) for c in tau.ball_centers(1)]
+        for level, count in ((2, 8), (3, 2)):
+            balls += [(c, level) for c in rng.sample(list(tau.ball_centers(level)), count)]
+        slot = tau.domain.index("sphere")
+        balls += [(tuple(5 * (i == slot) for i in range(tau.dimension)), 1)]
+        answers |= _assert_block_probe_matches_the_loop(tau, balls)
+    assert answers == {True, DomainError}
+
+
+def test_block_probe_decides_by_the_first_failing_residue():
+    balls = [((c,), 0) for c in range(1, 5)] + [((1,), 1), ((2,), 2)]
+    answers = [_result(ball_image_is_equal_radius, FIVE_OVER_ONE, c, level)
+               for c, level in balls]
+    assert answers == [False, False, False, DomainError, False, False]
+    assert _assert_block_probe_matches_the_loop(FIVE_OVER_ONE, balls) == {False, DomainError}
+    # (1/u, 1/u) with u the sphere coordinate: the last coordinate runs
+    # fastest, so from (1, 1) the walk along it meets a collision (u = x0)
+    # or the non-unit 5 (u = x1) first
+    for slot, expected in ((0, False), (1, DomainError)):
+        u = tuple(int(i == slot) for i in range(2))
+        domain = ("sphere", "disc") if slot == 0 else ("disc", "sphere")
+        F = PolynomialMap(5, [({(0, 0): 1}, {u: 1})] * 2, domain, 8)
+        assert _assert_block_probe_matches_the_loop(F, [((1, 1), 0)]) == {expected}
+
+
+def test_block_probe_matches_the_loop_on_the_chart_change_psi():
+    # psi goes through the per-point adapter, one Newton solve per residue
+    rng = random.Random(47)
+    maps = [_map1({(1,): 2})] + [F for name, F in _probe_maps().items()
+                                 if name in ("far-dim1", "far-dim2")]
+    for F in maps:
+        _, _, psi = equalise_pair(F)
+        balls = [(c, 0) for c in F.ball_centers(0)]
+        for level, count in ((1, 2), (2, 1)):
+            balls += [(c, level) for c in rng.sample(list(F.ball_centers(level)), count)]
+        assert _assert_block_probe_matches_the_loop(psi, balls) == {True}
+
+
+def test_block_probe_with_small_blocks_matches_the_loop(monkeypatch):
+    # blocks of 7 residues put collisions, exits from the ball and non-unit
+    # denominators on every side of a block boundary
+    monkeypatch.setattr(equalising, "_PROBE_BLOCK", 7)
+    maps = _probe_maps()
+    cases = [
+        (maps["x-squared"], [((c,), level) for level in (0, 1, 2) for c in range(5)]),
+        (maps["p-x"], [((0,), 0), ((3,), 1)]),
+        (maps["repaired-dim2"], [((0, 0), 0), ((3, 1), 1), ((7, 11), 2)]),
+        (maps["inverse-on-sphere"], _sphere_level_zero_balls(maps["inverse-on-sphere"])),
+        (FIVE_OVER_ONE, [((c,), 0) for c in range(1, 5)]),
+        (build_projective_model(5, 2, 2)[1].transitions[(0, 1)],
+         [((1, 1), 0), ((2, 3), 1), ((0, 0), 1)]),
+    ]
+    answers = set()
+    for F, balls in cases:
+        answers |= _assert_block_probe_matches_the_loop(F, balls)
+    assert answers == {True, False, DomainError}
+
+
+def _product_residue(code, n, span):
+    """The residue of point number `code` in itertools.product order of a
+    centre-0, level-0 ball."""
+    digits = []
+    for _ in range(n):
+        code, d = divmod(code, span)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+@pytest.mark.parametrize("pair", ["boundary", "first-and-last"])
+def test_block_probe_finds_a_collision_split_across_two_blocks(pair):
+    # dimension 3, 25^3 residues: one residue takes the image of a residue
+    # of another block, the last of the block before or the very first
+    p, n, level, probe = 5, 3, 0, 2
+    total = 25**n
+    earlier, later = {"boundary": (equalising._PROBE_BLOCK - 1, equalising._PROBE_BLOCK),
+                      "first-and-last": (0, total - 1)}[pair]
+    earlier, later = _product_residue(earlier, n, 25), _product_residue(later, n, 25)
+
+    def apply_f(x):
+        return earlier if x == later else x
+
+    for f, expected in ((apply_f, False), (lambda x: x, True)):
+        assert _loop_ball_probe(f, p, n, (0,) * n, level, probe) is expected
+        block = _pointwise_blocks(f)
+        assert _ball_image_is_equal_ball(block, p, n, (0,) * n, level, probe) is expected
+
+
+@pytest.mark.parametrize("block_size", [25, 7])
+def test_pointwise_blocks_raise_only_past_the_first_failure(monkeypatch, block_size):
+    # a per-point map that raises at one residue and sends another onto the
+    # centre's image: walking from centre 1, the loop raises unless the
+    # collision comes first, and so does the adapter, whether the raising
+    # residue is the centre, opens a block or sits inside one
+    monkeypatch.setattr(equalising, "_PROBE_BLOCK", block_size)
+    p, level, probe = 5, 0, 2
+    for raise_at, collide_at in ((7, 3), (3, 7), (9, None), (8, None), (0, None), (1, None)):
+        def apply_f(x):
+            if x[0] == raise_at:
+                raise DomainError("not a unit")
+            return (1,) if x[0] == collide_at else x
+
+        expected = _result(_loop_ball_probe, apply_f, p, 1, (1,), level, probe)
+        block = _pointwise_blocks(apply_f)
+        assert _result(_ball_image_is_equal_ball, block, p, 1, (1,), level, probe) == expected
+        assert expected == (False if collide_at == 3 else DomainError)
+
+
+def test_block_probe_over_python_integers_matches_the_loop():
+    # p^(level + 2) = 5^14 > 2^31: the probe and the evaluator switch to
+    # dtype=object
+    F = PolynomialMap(5, [{(1,): 2, (2,): 25, (3,): 5}], ("disc",), 16)
+    G = PolynomialMap(5, [{(1,): 1, (2,): 1}], ("disc",), 16)
+    balls = [((c,), 12) for c in (0, 2, 5**11 + 2, 7 * 5**10)]
+    assert _assert_block_probe_matches_the_loop(F, balls) == {True}
+    assert _assert_block_probe_matches_the_loop(G, balls) == {True, False}
+
+
+class _CountingBlockMap(PolynomialMap):
+    """A polynomial map whose block evaluators count the points they get."""
+
+    __slots__ = ("points",)
+
+    def residue_block_function(self, k):
+        apply_block = super().residue_block_function(k)
+
+        def counted(xs):
+            self.points += len(xs[0])
+            return apply_block(xs)
+
+        return counted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_block_probe_evaluates_every_residue(n):
+    # the centre, then all p^(2n) residues of a ball that passes
+    F = _CountingBlockMap(5, identity_map(5, n, 8).components, ("disc",) * n, 8)
+    F.points = 0
+    assert ball_image_is_equal_radius(F, (3,) * n, 1)
+    assert F.points == 1 + 5 ** (2 * n)
+    F.points = 0
+    assert equalising_number_of_map(F, (0, 0)) == 0
+    assert F.points == 1 + 5 ** (2 * n)
+    # a map with only a per-point residue_function goes through the adapter
+    G = _CountingMap(identity_map(5, n, 8))
+    assert equalising_number_of_map(G, (0, 0)) == 0
+    assert G.evaluations == 1 + 5 ** (2 * n)
+
+
+@pytest.mark.parametrize(
+    "center, level, match",
+    [((0, 0, 0), 1, "3 coordinates, the map takes 2"),
+     ((0,), 1, "1 coordinates, the map takes 2"),
+     ((0, 0), -1, "level must be >= 0")],
+)
+def test_ball_probe_checks_its_inputs(center, level, match):
+    F = identity_map(5, 2, 8)
+    with pytest.raises(ValueError, match=match):
+        ball_image_is_equal_radius(F, center, level)
+
+
+def test_a_dim_three_probe_stays_small_and_imports_nothing(child_env):
+    # the probe path loads no module the package had not loaded, and one
+    # warm dim-3 level-2 probe traces at most 1 MB
+    code = """
+import sys, tracemalloc
+import padic_spectra
+from padic_spectra.equalising import ball_image_is_equal_radius
+from padic_spectra.polymaps import PolynomialMap
+F = PolynomialMap(5, [{(1, 0, 0): 2, (0, 1, 0): 1}, {(0, 1, 0): 3, (2, 0, 0): 25},
+                      {(0, 0, 1): 1, (1, 1, 0): 5}], ("disc",) * 3, 8)
+S = PolynomialMap(5, [({(0,): 1}, {(1,): 1})], ("sphere",), 16)
+before = set(sys.modules)
+assert ball_image_is_equal_radius(F, (1, 2, 3), 2)
+assert ball_image_is_equal_radius(S, (1,), 12)
+try:
+    ball_image_is_equal_radius(S, (1,), 0)
+except padic_spectra.DomainError:
+    pass
+print(sorted(set(sys.modules) - before))
+tracemalloc.start()
+assert ball_image_is_equal_radius(F, (1, 2, 3), 2)
+print(tracemalloc.get_traced_memory()[1])
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[0] == "[]"
+    assert int(out[1]) <= 2**20
+
+
+def test_equalise_pair_refuses_a_linear_part_singular_mod_p():
+    # 5x and [[1, 1], [1, 6]] (det 5) are invertible over Q_p, not over Z_p
+    singular = [_map1({(1,): 5}),
+                PolynomialMap(5, [{(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 6}],
+                              ("disc", "disc"), 8)]
+    for F in singular:
+        with pytest.raises(NotInvertibleError, match="not a p-adic unit"):
+            equalise_pair(F)
