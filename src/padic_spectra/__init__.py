@@ -31,7 +31,6 @@ from .models import (
     Atlas,
     Ball,
     CellModel,
-    ChartBall,
     DisconnectedNerveError,
     ModelError,
     NerveComplex,

@@ -278,7 +278,8 @@ def _add_model_arguments(sub, elliptic_only=False):
             "--model", choices=["projective", "Y", "elliptic"], required=True,
             help="which family of built-in models to construct",
         )
-        sub.add_argument("--n", type=int, help="ambient dimension for projective/Y")
+        sub.add_argument("--n", type=int,
+                         help="ambient dimension for projective/Y (built for n in {1, 2})")
     sub.add_argument("--p", type=int, required=True, help="residue prime (not 2 or 3)")
     sub.add_argument("--f", type=int, default=1, help="residue extension degree")
     sub.add_argument("--level", "-m", type=int, default=2, help="subdivision depth")

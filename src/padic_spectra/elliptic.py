@@ -46,8 +46,10 @@ import array
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .fields import FiniteField, FqElement
-from .models import CellModel, TopBall, _census_table
+from .models import CellModel, _census_table
 from .spectral import _ball_eigenvalue, _census_eigenvalues, _cross_top_parts, _is_integral, _power
 
 __all__ = [
@@ -205,14 +207,12 @@ def build_elliptic_model(curve, level):
     if level < 2:
         raise ValueError("elliptic models need level >= 2")
     _require_split(curve)
-    tops = [TopBall(0, REGION_CHARTS["a"], "a")]
-    points = _affine_points(curve)
-    for yc in points[1::2]:
-        label = "b" if yc else "c"
-        tops.append(TopBall(len(tops), REGION_CHARTS[label], label))
+    ys = np.frombuffer(_affine_points(curve), dtype=np.int64)[1::2]
+    index = np.concatenate(([0], np.where(ys != 0, 1, 2)))  # a, then b or c by y != 0
     return CellModel(
         f"E(q={curve.q}): y^2 = x^3 + {curve.A.code}x + {curve.B.code}",
-        curve.p, curve.f, 1, level, tops, (0, 1), False,
+        curve.p, curve.f, 1, level, tuple(REGION_CHARTS.values()), tuple(REGION_CHARTS), index,
+        (0, 1), False,
     )
 
 

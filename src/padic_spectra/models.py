@@ -13,17 +13,19 @@ Two families are built here, the third by the elliptic module:
 * projective space P^n, charts U_i = {|x_i| = 1, all |x_j| <= 1} with
   ratio transition maps and the full n-simplex as nerve.  Each chart
   domain is itself a radius-1 ball (the unit polydisc in its own
-  coordinates), so cells in distinct top balls can still have a join;
+  coordinates), so two tops sharing a chart lie in one chart ball;
 * Y = P^n minus the n-fold unit sphere S0^n, whose nerve is the boundary
   of the n-simplex and whose maximal balls are the top balls;
 * elliptic curve models (two charts, top balls labelled by reduction
   type), with maximal balls again the top balls.
 
-Geodesic distance follows the join when it exists and otherwise minimizes
-the measure of a union of chart overlaps along simple facet/coface paths
-in the nerve; union measures are exact top counts from the region census
-(the number of top balls in each chart region), not sums of weights.  The
-paths depend only on which regions exist, so they are enumerated once per
+A model stores its census (chart regions, their labels, and one region
+index per top), not one object per top.  Geodesic distance is the measure
+of the join inside a top ball.  Across tops it is read from the census:
+on P^n the measure of the chart ball of the least shared chart, otherwise
+the least measure of a union of chart overlaps along simple facet/coface
+paths in the nerve, as exact top counts, not sums of weights.  The paths
+depend only on which regions exist, so they are enumerated once per
 region shape, as the sets of regions each path meets; a census of that
 shape then costs one minimum over those sets.
 """
@@ -32,15 +34,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .equalising import (
+    CERTIFY_DIGITS,
     NOT_EQUALISING,
+    _ball_image_is_equal_ball,
     _check_radius_range,
-    ball_image_is_equal_radius,
+    _residue_blocks,
     equalising_number_of_map,
 )
 from .fields import FiniteField
@@ -53,7 +56,6 @@ __all__ = [
     "NerveComplex",
     "TopBall",
     "Ball",
-    "ChartBall",
     "CellModel",
     "nerve_weights",
     "build_projective_model",
@@ -169,6 +171,10 @@ class Ball:
         self.prefix = tuple(prefix)
         if len(self.prefix) > model.level - 1:
             raise ModelError("ball deeper than the model level")
+        if not 0 <= top_index < len(model.region_index):
+            raise ModelError(f"top index {top_index} outside [0, {len(model.region_index)})")
+        if not all(0 <= d < model.branching for d in self.prefix):
+            raise ModelError(f"ball digits {self.prefix} outside [0, {model.branching})")
 
     @property
     def depth(self):
@@ -199,56 +205,26 @@ class Ball:
         return f"Ball({self.id_string}, measure={self.measure})"
 
 
-class ChartBall:
-    """A whole chart domain when it is a genuine radius-1 ball (P^n only)."""
-
-    __slots__ = ("model", "chart")
-
-    def __init__(self, model, chart):
-        self.model = model
-        self.chart = chart
-
-    depth = 0
-    prefix = ()
-
-    @property
-    def measure(self):
-        count = sum(1 for t in self.model.tops if self.chart in t.region)
-        return Fraction(count, self.model.branching)
-
-    @property
-    def id_string(self):
-        return f"U{self.chart}"
-
-    def __repr__(self):
-        return f"ChartBall(U{self.chart}, measure={self.measure})"
-
-
 class CellModel:
     """Level-m cell decomposition with a uniform c-ary ball tree.
 
-    Cell ids run 0 .. len(tops)*c^(m-1) - 1; cell k lives in top ball
+    Cell ids run 0 .. #tops*c^(m-1) - 1; cell k lives in top ball
     k // c^(m-1) and its subdivision digits are the base-c expansion of
     k mod c^(m-1), most significant first.  Chart membership is constant
     on top balls, so a cell's simplex sigma(x) is its top's region.
+
+    It holds its census: `regions` in order of first appearance over the
+    tops, their `labels`, and `region_index`, one int per top.  A builder
+    passes candidate regions and labels and each top's candidate number;
+    candidates without tops are dropped and the rest renumbered.
     """
 
-    __slots__ = (
-        "name",
-        "p",
-        "f",
-        "dimension",
-        "level",
-        "branching",
-        "tops",
-        "chart_ids",
-        "chart_balls",
-        "nerve",
-        "_census",
-        "_cross_cache",
-    )
+    __slots__ = ("name", "p", "f", "dimension", "level", "branching", "regions", "labels",
+                 "region_index", "chart_ids", "chart_balls", "nerve", "_census", "_cross_cache",
+                 "_tops")
 
-    def __init__(self, name, p, f, dimension, level, tops, chart_ids, chart_balls):
+    def __init__(self, name, p, f, dimension, level, regions, labels, region_index, chart_ids,
+                 chart_balls):
         if level < 1:
             raise ModelError("level must be >= 1")
         self.name = name
@@ -257,12 +233,27 @@ class CellModel:
         self.dimension = dimension
         self.level = level
         self.branching = (p**f) ** dimension
-        self.tops = tuple(tops)
+        index = np.asarray(region_index)
+        present = np.flatnonzero(np.bincount(index, minlength=len(regions)))
+        perm = np.argsort((index[:, None] == present).argmax(axis=0))  # by first top
+        self.region_index = np.argsort(perm)[np.searchsorted(present, index)]
+        self.regions = tuple(regions[k] for k in present[perm].tolist())
+        self.labels = tuple(labels[k] for k in present[perm].tolist())
         self.chart_ids = tuple(chart_ids)
         self.chart_balls = chart_balls
-        self._census = Counter(top.region for top in self.tops)
+        self._census = dict(zip(self.regions, np.bincount(self.region_index).tolist()))
         self.nerve = nerve_weights(self)
         self._cross_cache = {}
+        self._tops = None
+
+    @property
+    def tops(self):
+        """The top balls as a tuple of read-only `TopBall` views, built on
+        first access; program code reads `region_index` instead."""
+        if self._tops is None:
+            self._tops = tuple(TopBall(t, self.regions[k], self.labels[k])
+                               for t, k in enumerate(self.region_index.tolist()))
+        return self._tops
 
     # -- basic structure -----------------------------------------------------
 
@@ -272,7 +263,7 @@ class CellModel:
 
     @property
     def num_cells(self):
-        return len(self.tops) * self.cells_per_top
+        return len(self.region_index) * self.cells_per_top
 
     @property
     def cell_measure(self):
@@ -280,7 +271,7 @@ class CellModel:
 
     @property
     def total_measure(self):
-        return Fraction(len(self.tops), self.branching)
+        return Fraction(len(self.region_index), self.branching)
 
     def top_index_of(self, cell):
         return cell // self.cells_per_top
@@ -300,24 +291,20 @@ class CellModel:
     # -- joins and distance ----------------------------------------------------
 
     def join(self, x, y):
-        """Smallest ball of the tree containing both cells, or None."""
+        """Smallest ball of a top's tree containing both cells, or None
+        for cells of distinct tops (see `cross_top_distance`)."""
         tx, ty = self.top_index_of(x), self.top_index_of(y)
-        if tx == ty:
-            dx, dy = self.digits_of(x), self.digits_of(y)
-            common = []
-            for a, b in zip(dx, dy):
-                if a != b:
-                    break
-                common.append(a)
-            return Ball(self, tx, tuple(common))
-        if self.chart_balls:
-            shared = self.tops[tx].region & self.tops[ty].region
-            if shared:
-                return ChartBall(self, min(shared))
-        return None
+        if tx != ty:
+            return None
+        common = []
+        for a, b in zip(self.digits_of(x), self.digits_of(y)):
+            if a != b:
+                break
+            common.append(a)
+        return Ball(self, tx, tuple(common))
 
     def geodesic_distance(self, x, y):
-        """d_g: measure of the join, else minimal overlap-path union measure."""
+        """d_g: measure of the join inside one top, else `cross_top_distance`."""
         b = self.join(x, y)
         if b is not None:
             return b.measure
@@ -326,7 +313,7 @@ class CellModel:
     def cross_top_distance(self, ta, tb):
         """d_g between cells of distinct top balls, from their two regions
         alone (ta == tb: between two tops of that top's region)."""
-        sa, sb = self.tops[ta].region, self.tops[tb].region
+        sa, sb = self.regions[self.region_index[ta]], self.regions[self.region_index[tb]]
         key = frozenset((sa, sb))
         if key not in self._cross_cache:
             self._cross_cache[key] = _census_distance(
@@ -343,7 +330,7 @@ class CellModel:
         _require_cells(self, max_cells)
         scale = self.branching**self.level
         per = self.cells_per_top
-        ntops = len(self.tops)
+        ntops = len(self.region_index)
         _, idx, table = _region_table(self)
         scaled = [[d * scale for d in row] for row in table]
         if any(v.denominator != 1 for row in scaled for v in row):
@@ -377,12 +364,10 @@ def _region_table(model):
     of each region stands for it on both sides; a diagonal entry is the
     distance between two tops of one region (unused if it has one top).
     """
-    regions = list(model._census)
-    number = {region: k for k, region in enumerate(regions)}
-    idx = np.array([number[top.region] for top in model.tops])
+    idx = model.region_index
     reps = np.unique(idx, return_index=True)[1].tolist()
     table = [[model.cross_top_distance(a, b) for b in reps] for a in reps]
-    return regions, idx, table
+    return list(model.regions), idx, table
 
 
 def _census_table(census, branching):
@@ -464,16 +449,18 @@ def _frac_str(fr):
 # -- projective models ----------------------------------------------------------
 
 
-def _projective_tops(q, n):
-    """Canonical P^n(F_q) points: least unit coordinate scaled to 1."""
-    tops = []
-    for chart in range(n + 1):
-        free = [j for j in range(n + 1) if j != chart]
-        choices = [[0] if j < chart else list(range(q)) for j in free]
-        for combo in itertools.product(*choices):
-            region = frozenset([chart] + [j for j, r in zip(free, combo) if j > chart and r])
-            tops.append(TopBall(len(tops), region, f"chart{chart}"))
-    return tops
+def _projective_regions(q, n):
+    """The nonempty chart sets of P^n (numbered bitmask - 1), their labels,
+    and the number of each canonical P^n(F_q) point's chart set, in top
+    order: least unit coordinate i scaled to 1 (chart i), the coordinates
+    after it in lexicographic order, each unit one adding its chart."""
+    regions = [frozenset(j for j in range(n + 1) if mask >> j & 1) for mask in range(1, 2 << n)]
+    units = np.zeros(1, dtype=np.int64)  # bit j: the j-th coordinate after the chart's is a unit
+    masks = []
+    for chart in range(n, -1, -1):
+        masks.append((units << (chart + 1)) | (1 << chart))
+        units = ((np.arange(q) != 0)[:, None] | (units << 1)).ravel()
+    return regions, [f"chart{min(r)}" for r in regions], np.concatenate(masks[::-1]) - 1
 
 
 def _projective_transitions(p, n, precision):
@@ -518,8 +505,8 @@ def build_projective_model(p, n, level, f=1):
     if n not in (1, 2):
         raise ModelError("projective models are built for n in {1, 2}")
     q = FiniteField(p, f).q
-    tops = _projective_tops(q, n)
-    model = CellModel(f"P{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), True)
+    model = CellModel(f"P{n}(q={q})", p, f, n, level, *_projective_regions(q, n),
+                      tuple(range(n + 1)), True)
     atlas = Atlas(_projective_transitions(p, n, level + 4))
     return model, atlas, model.nerve
 
@@ -534,10 +521,10 @@ def build_Y_model(p, n, level, f=1):
     if n not in (1, 2):
         raise ModelError("Y models are built for n in {1, 2}")
     q = FiniteField(p, f).q
-    full = frozenset(range(n + 1))
-    survivors = [t for t in _projective_tops(q, n) if t.region != full]
-    tops = [TopBall(i, t.region, t.label) for i, t in enumerate(survivors)]
-    model = CellModel(f"Y{n}(q={q})", p, f, n, level, tops, tuple(range(n + 1)), False)
+    regions, labels, index = _projective_regions(q, n)
+    index = index[index != len(regions) - 1]  # the all-charts set is the last
+    model = CellModel(f"Y{n}(q={q})", p, f, n, level, regions, labels, index,
+                      tuple(range(n + 1)), False)
     atlas = Atlas(_projective_transitions(p, n, level + 4))
     return model, atlas, model.nerve
 
@@ -547,8 +534,9 @@ def verify_ball_transition_consistency(model, atlas, max_depth=2):
 
     Transition (i, j) applies to the chart-i balls on which x_j is a unit,
     its own `ball_centers(depth)`.  A centre lies in the region of i and
-    the charts of its unit coordinates, and is probed, two digits below its
-    radius, when that region is in the model's census (f = 1 only).
+    the charts of its unit coordinates, and is probed exhaustively, as by
+    `ball_image_is_equal_radius`, when that region is in the model's census
+    (f = 1 only); each transition is compiled once per depth.
     Returns (checked, failures), a failure as ((i, j), depth, centre).
     """
     if model.f != 1:
@@ -558,11 +546,14 @@ def verify_ball_transition_consistency(model, atlas, max_depth=2):
     for (i, j), tau in atlas.transitions.items():
         charts = [k for k in model.chart_ids if k != i]
         for depth in range(1, min(max_depth, model.level) + 1):
+            probe = depth + CERTIFY_DIGITS
+            apply_block = _residue_blocks(tau, probe)
             for centre in tau.ball_centers(depth):
                 region = frozenset([i] + [k for k, x in zip(charts, centre) if x % model.p])
                 if region not in model._census:
                     continue
                 checked += 1
-                if not ball_image_is_equal_radius(tau, centre, depth):
+                if not _ball_image_is_equal_ball(apply_block, tau.p, tau.dimension, centre, depth,
+                                                 probe):
                     failures.append(((i, j), depth, centre))
     return checked, failures

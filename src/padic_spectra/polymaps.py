@@ -112,6 +112,8 @@ class PolynomialMap:
             numer = {tuple(e): _as_padic(c, p, precision) for e, c in numer.items()}
             denom = {tuple(e): _as_padic(c, p, precision) for e, c in denom.items()}
             normalized.append((numer, denom))
+        if len(normalized) != self.dimension:
+            raise PAdicError(f"{len(normalized)} components for a map of dimension {self.dimension}")
         self.components = tuple(normalized)
         self.precision = precision
         self.inverse = inverse
@@ -441,14 +443,19 @@ def polymap_to_json_dict(f, include_inverse=True):
 
 
 def polymap_from_json_dict(data):
-    if data.get("schema") != POLYMAP_SCHEMA:
+    if not isinstance(data, dict) or data.get("schema") != POLYMAP_SCHEMA:
         raise PAdicError(f"not a {POLYMAP_SCHEMA} document")
     p = int(data["p"])
     dimension = int(data["dimension"])
     precision = int(data["precision"])
     domain = data.get("domain") or [DISC] * dimension
+    if not isinstance(domain, list) or len(domain) != dimension:
+        raise PAdicError(f"domain {domain!r} does not list {dimension} coordinate descriptors")
+    raw = data["components"]
+    if not isinstance(raw, list) or not all(isinstance(comp, dict) for comp in raw):
+        raise PAdicError("components must be a list of {numerator, denominator} objects")
     components = []
-    for comp in data["components"]:
+    for comp in raw:
         numer = _coeffs_from_json(comp["numerator"], dimension)
         if comp.get("denominator"):
             denom = _coeffs_from_json(comp["denominator"], dimension)

@@ -365,7 +365,7 @@ def enumerate_spectrum(model, s, exact=None):
             )
         )
     summary = SpectrumSummary(
-        model.name, s, classes, len(model.tops), reduced_block_eigenvalues(model, s)
+        model.name, s, classes, len(model.region_index), reduced_block_eigenvalues(model, s)
     )
     if summary.total_dimension != model.num_cells:
         raise ModelError("spectrum dimensions do not add up to the cell count")
@@ -383,7 +383,7 @@ def _kernel_rows(model, form, cells):
     per = model.cells_per_top
     tops = cells // per
     rows = np.repeat(block[idx[tops]][:, idx] * float(model.branching), per, axis=1)
-    blocks = rows.reshape(len(cells), len(model.tops), per)  # a view of rows
+    blocks = rows.reshape(len(cells), len(model.region_index), per)  # a view of rows
     depth = _within_top_depth(model, cells % per)
     blocks[np.arange(len(cells)), tops] = profile[idx[tops][:, None], depth]
     return rows
@@ -459,7 +459,7 @@ def _heat_parts(model, s, t, paper_constant_term=False, complement=True):
     (complement=False: the flat 1/#tops of its constant mode;
     paper_constant_term: the bare 1/c)."""
     _check_time(t)
-    flat = None if complement else 1.0 / len(model.tops)
+    flat = None if complement else 1.0 / len(model.region_index)
     if paper_constant_term:
         flat = 1.0 / model.branching
     return _synthesis(model, s, lambda x: np.exp(-t * x), flat)
@@ -564,7 +564,7 @@ def semigroup_apply(model, s, t, values, complement=True):
         raise ValueError(f"expected {n} cell values, got shape {v.shape}")
     c = model.branching
     m = model.level
-    ntops = len(model.tops)
+    ntops = len(model.region_index)
     idx, profile, block = _heat_parts(model, s, t, complement=complement)
     g = np.diff(profile, axis=1) / float(c) ** np.arange(1, m + 1)
     means = v.reshape(ntops, -1)
@@ -660,7 +660,7 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     c = model.branching
     m = model.level
     per = model.cells_per_top
-    ntops = len(model.tops)
+    ntops = len(model.region_index)
     # jump rates per top: the m - 1 shells inside it, then every top (itself 0)
     shells = [_shell_rate(j, c, s, False) for j in range(1, m)]
     table = np.hstack([np.tile(shells, (ntops, 1)), -reduced_operator(model, s)])

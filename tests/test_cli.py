@@ -662,6 +662,50 @@ def test_equalise_refuses_no_samples(capsys, tmp_path, samples):
     assert "at least one sample" in err
 
 
+_MAP_DOC = polymap_to_json_dict(PolynomialMap(5, [{(1,): 3, (2,): 25}], ("disc",), 8))
+_PLANE_DOC = {
+    **_MAP_DOC, "dimension": 2, "domain": ["disc", "disc"],
+    "components": [{"numerator": {"1,0": "3", "0,2": "25"}, "denominator": {"0,0": "1"}}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, fault",
+    [
+        ({**_MAP_DOC, "components": 5}, "components must be a list"),
+        (_PLANE_DOC, "1 components for a map of dimension 2"),
+        ([_MAP_DOC], "not a padic-spectra/polymap-v1 document"),
+        ({**_MAP_DOC, "domain": ["disc", "disc"]}, "does not list 1 coordinate descriptors"),
+    ],
+    ids=["components-not-a-list", "too-few-components", "top-level-array", "domain-too-long"],
+)
+def test_equalise_refuses_a_malformed_map_document(capsys, tmp_path, doc, fault):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "equalise", "--map", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and fault in err, err
+
+
+def test_program_paths_build_no_top_ball_objects(capsys, monkeypatch):
+    # models hold their census and a region index per top; `tops` is a
+    # view for readers outside the program, built only on access
+    def refuse(self, *args):
+        raise AssertionError("a program path built a TopBall")
+
+    monkeypatch.setattr(models.TopBall, "__init__", refuse)
+    curve = ["--p", "20011", "--a4", "-1", "--a6", "0"]
+    for model_argv in (
+        ["--model", "elliptic", *curve],
+        ["--model", "projective", "--n", "2", "--p", "5"],
+        ["--model", "Y", "--n", "2", "--p", "5"],
+    ):
+        for command in (["nerve"], ["spectrum", "--s", "2"], ["heat", "--t", "0.7"], ["green"]):
+            run_json(capsys, *command, *model_argv)
+    assert run_json(capsys, "hear", *curve, "--s", "2")["N_recovered"] == 20012
+
+
 CURVE_ARGV = ["--p", "13", "--a4", "-1", "--a6", "0"]
 P1_ARGV = ["--model", "projective", "--n", "1", "--p", "5"]
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from padic_spectra import builtin_models
+from padic_spectra.elliptic import CurveSpec, build_elliptic_model
 from padic_spectra.models import (
     Atlas,
     Ball,
@@ -70,6 +71,31 @@ def test_y_model_census():
     assert frozenset({0, 1}) in regions
 
 
+def _census_models():
+    yield from builtin_models()
+    # the first affine point of y^2 = x^3 - 19x + 30 over F_13 has y != 0,
+    # so its b fibres come before its c fibres
+    yield "E/F_13 b before c", build_elliptic_model(CurveSpec(13, -19, 30), 2)
+    # y^2 = x^3 + x over F_5 has N = 4: no b fibre at all
+    yield "E/F_5 without b", build_elliptic_model(CurveSpec(5, 1, 0), 2)
+
+
+def test_census_in_first_appearance_order():
+    for label, model in _census_models():
+        regions = [t.region for t in model.tops]
+        first = list(dict.fromkeys(regions))
+        assert list(model._census) == first == list(model.regions), label
+        assert list(model._census.values()) == [regions.count(r) for r in first], label
+        assert [model.regions[k] for k in model.region_index] == regions, label
+        assert [t.label for t in model.tops] == [model.labels[k] for k in model.region_index]
+
+
+def test_curve_without_b_fibre_has_no_b_region():
+    model = build_elliptic_model(CurveSpec(5, 1, 0), 2)
+    assert model._census == {frozenset({0}): 1, frozenset({1}): 3}
+    assert model.labels == ("a", "c")
+
+
 def test_total_measure_is_sum_of_cells(p1):
     model, _, _ = p1
     assert model.num_cells * model.cell_measure == model.total_measure
@@ -124,6 +150,15 @@ def test_ball_depth_capped_by_level(p1):
         Ball(model, 0, (1, 2))
 
 
+def test_ball_refuses_indices_outside_the_model():
+    # P1(5) m3: 6 tops, c = 5; ball(0, (7,)) once named cells (35, 40) of top 1
+    model, _, _ = build_projective_model(5, 1, 3)
+    for top, prefix in [(0, (7,)), (0, (-1,)), (0, (1, 5)), (6, ()), (9, ()), (-1, ())]:
+        with pytest.raises(ModelError):
+            model.ball(top, prefix)
+    assert model.ball(5, (4, 4)).cell_range == (149, 150)
+
+
 def test_join_within_a_top(p1):
     model, _, _ = p1
     assert model.join(0, 0).measure == model.cell_measure
@@ -133,6 +168,7 @@ def test_join_within_a_top(p1):
 def test_join_across_tops_goes_through_chart_ball(p1):
     model, _, _ = p1
     # tops 0 and 1 both carry chart 0, whose domain is the unit ball
+    assert model.join(0, 6) is None
     assert model.geodesic_distance(0, 6) == 1
 
 
@@ -266,6 +302,21 @@ def test_ball_transition_consistency_counts(build, n, level, max_depth, checked)
     # one check per (transition, ball of the model on both its charts)
     model, atlas, _ = build(5, n, level)
     assert verify_ball_transition_consistency(model, atlas, max_depth) == (checked, [])
+
+
+def test_ball_transition_check_compiles_each_transition_once_per_depth(p2, monkeypatch):
+    # six transitions, two depths: the term lists were once recompiled per centre
+    model, atlas, _ = p2
+    compiled = []
+    residue_tables = PolynomialMap._residue_tables
+
+    def counting(self, k):
+        compiled.append(k)
+        return residue_tables(self, k)
+
+    monkeypatch.setattr(PolynomialMap, "_residue_tables", counting)
+    assert verify_ball_transition_consistency(model, atlas, 2) == (3120, [])
+    assert len(compiled) <= 12
 
 
 def test_ball_transition_consistency_reports_a_contracting_map(p1):

@@ -227,6 +227,13 @@ def test_json_rejects_unknown_schema():
         polymap_from_json_dict(doc)
 
 
+def test_map_needs_one_component_per_coordinate():
+    with pytest.raises(PAdicError, match="1 components for a map of dimension 2"):
+        PolynomialMap(5, [{(1, 0): 1}], ("disc", "disc"), 8)
+    with pytest.raises(PAdicError, match="2 components for a map of dimension 1"):
+        PolynomialMap(5, [{(1,): 1}, {(1,): 2}], ("disc",), 8)
+
+
 # -- the compiled evaluators and the ball probe against the old code ----------
 #
 # Test-local copies of the per-point residue evaluator, of the two-set ball
