@@ -111,6 +111,8 @@ class PolynomialMap:
                 numer, denom = comp, {(0,) * self.dimension: 1}
             numer = {tuple(e): _as_padic(c, p, precision) for e, c in numer.items()}
             denom = {tuple(e): _as_padic(c, p, precision) for e, c in denom.items()}
+            if all(c.is_zero for c in denom.values()):
+                raise PAdicError(f"component {len(normalized)} has a zero denominator")
             normalized.append((numer, denom))
         if len(normalized) != self.dimension:
             raise PAdicError(f"{len(normalized)} components for a map of dimension {self.dimension}")
@@ -406,13 +408,31 @@ def _coeffs_to_json(coeffs):
     return dict(sorted(out.items()))
 
 
-def _coeffs_from_json(data, dimension):
+def _int_from_json(data, field):
+    value = data.get(field)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PAdicError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _coeffs_from_json(data, dimension, field):
+    if not isinstance(data, dict):
+        raise PAdicError(f"{field} must be an object of coefficients, got {data!r}")
     out = {}
     for key, value in data.items():
         exps = tuple(int(e) for e in key.split(",")) if key else ()
         if len(exps) != dimension:
             raise PAdicError(f"exponent key {key!r} has wrong arity for dimension {dimension}")
-        out[exps] = Fraction(value)
+        if min(exps) < 0:
+            raise PAdicError(f"{field} exponent key {key!r} has a negative exponent")
+        fault = (f"{field} coefficient {key!r} must be an integer or a rational string,"
+                 f" got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise PAdicError(fault)
+        try:
+            out[exps] = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise PAdicError(fault) from None
     return out
 
 
@@ -445,9 +465,10 @@ def polymap_to_json_dict(f, include_inverse=True):
 def polymap_from_json_dict(data):
     if not isinstance(data, dict) or data.get("schema") != POLYMAP_SCHEMA:
         raise PAdicError(f"not a {POLYMAP_SCHEMA} document")
-    p = int(data["p"])
-    dimension = int(data["dimension"])
-    precision = int(data["precision"])
+    p, dimension, precision = (_int_from_json(data, field)
+                               for field in ("p", "dimension", "precision"))
+    if dimension < 1:
+        raise PAdicError(f"dimension must be at least 1, got {dimension}")
     domain = data.get("domain") or [DISC] * dimension
     if not isinstance(domain, list) or len(domain) != dimension:
         raise PAdicError(f"domain {domain!r} does not list {dimension} coordinate descriptors")
@@ -456,9 +477,9 @@ def polymap_from_json_dict(data):
         raise PAdicError("components must be a list of {numerator, denominator} objects")
     components = []
     for comp in raw:
-        numer = _coeffs_from_json(comp["numerator"], dimension)
+        numer = _coeffs_from_json(comp.get("numerator"), dimension, "numerator")
         if comp.get("denominator"):
-            denom = _coeffs_from_json(comp["denominator"], dimension)
+            denom = _coeffs_from_json(comp["denominator"], dimension, "denominator")
         else:
             denom = {(0,) * dimension: Fraction(1)}
         components.append((numer, denom))

@@ -628,6 +628,9 @@ class SimulationResult:
         }
 
 
+_PATH_BLOCK = 2**14  # paths per block of the sampler
+
+
 def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
                  _rate_cap_steps=2_000_000):
     """Sample the jump process with generator -L on the cells.
@@ -647,15 +650,21 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     together, raise RuntimeError.
 
     Working set: the three per-path results (final cell, jump count, first
-    holding time) and the live paths alone (index, cell and clock, compacted
-    each round as paths stop), plus one round's draws and their temporaries.
-    A stopped path writes its final cell and jump count once; its clock is
-    dropped.
+    holding time; 24 bytes a path) plus one block of _PATH_BLOCK paths,
+    whatever the path count.  Blocks run one after another from the one
+    Generator, each to its end: start cells, first holding times, then
+    rounds in which the block's live paths (index, cell and clock,
+    compacted as paths stop) jump, with one round's draws and their
+    temporaries.  A stopped path writes its final cell and jump count once;
+    its clock is dropped.  Paths are i.i.d., so the blocks leave the law
+    exact.
     """
     if seed is None:
         raise ValueError("a seed is required; sampling must be reproducible")
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
+    if max_store < 0:
+        raise ValueError(f"max_store must be at least 0, got {max_store}")
     _check_time(t_max)
     c = model.branching
     m = model.level
@@ -698,40 +707,47 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
         cells[across] = (hit[across] - (m - 1)) * per
         cells += r
 
-    if start is None:
-        final_cells = rng.integers(0, n, size=n_paths)
-    else:
-        if not 0 <= start < n:
-            raise ValueError(f"start cell {start} out of range")
-        final_cells = np.full(n_paths, start, dtype=np.int64)
+    if start is not None and not 0 <= start < n:
+        raise ValueError(f"start cell {start} out of range")
+    final_cells = np.empty(n_paths, dtype=np.int64)
     jumps = np.empty(n_paths, dtype=np.int64)
+    first_holding = np.empty(n_paths)
     store = min(max_store, n_paths)
-    # (paths, clocks, cells) of the stored paths' jumps, one entry per round
-    kept = [(np.arange(store), np.zeros(store), final_cells[:store].copy())]
-    # the live paths: index (ascending), cell and clock.  Every live path
-    # jumps or stops in each round, so one live in round k has jumped k times.
-    live = np.arange(n_paths)
-    cells = final_cells  # the first compaction copies it
-    first_holding = clocks = rng.exponential(scale[cells // per])  # clocks start at 0
+    # (paths, clocks, cells) of the stored paths' jumps, one entry per block
+    # and round
+    kept = []
     total_steps = 0
-    for k in itertools.count():
-        done = clocks >= t_max
-        final_cells[live[done]] = cells[done]
-        jumps[live[done]] = k
-        running = ~done
-        live, cells, clocks = live[running], cells[running], clocks[running]
-        if not live.size:
-            break
-        jump(cells)
+    for lo in range(0, n_paths, _PATH_BLOCK):
+        size = min(_PATH_BLOCK, n_paths - lo)
+        if start is None:
+            cells = rng.integers(0, n, size=size)
+        else:
+            cells = np.full(size, start, dtype=np.int64)
+        # the block's live paths: index (ascending), cell and clock.  Every
+        # live path jumps or stops in each round, so one live in round k has
+        # jumped k times.
+        live = np.arange(lo, lo + size)
         stored = np.searchsorted(live, store)
-        kept.append(tuple(a[:stored].copy() for a in (live, clocks, cells)))
-        total_steps += live.size
-        if total_steps > _rate_cap_steps:
-            raise RuntimeError(
-                f"simulation exceeded {_rate_cap_steps} jumps; t_max too"
-                " large for these rates"
-            )
-        clocks += rng.exponential(scale[cells // per])
+        kept.append((live[:stored].copy(), np.zeros(stored), cells[:stored].copy()))
+        first_holding[lo : lo + size] = clocks = rng.exponential(scale[cells // per])
+        for k in itertools.count():
+            done = clocks >= t_max
+            final_cells[live[done]] = cells[done]
+            jumps[live[done]] = k
+            running = ~done
+            live, cells, clocks = live[running], cells[running], clocks[running]
+            if not live.size:
+                break
+            jump(cells)
+            stored = np.searchsorted(live, store)
+            kept.append(tuple(a[:stored].copy() for a in (live, clocks, cells)))
+            total_steps += live.size
+            if total_steps > _rate_cap_steps:
+                raise RuntimeError(
+                    f"simulation exceeded {_rate_cap_steps} jumps; t_max too"
+                    " large for these rates"
+                )
+            clocks += rng.exponential(scale[cells // per])
     paths, times, visited = (np.concatenate(parts) for parts in zip(*kept))
     order = np.argsort(paths, kind="stable")  # rounds stay in time order
     steps = list(zip(times[order].tolist(), visited[order].tolist()))

@@ -669,6 +669,11 @@ _PLANE_DOC = {
 }
 
 
+def _component_doc(**fields):
+    """_MAP_DOC with these fields of its one component replaced."""
+    return {**_MAP_DOC, "components": [{**_MAP_DOC["components"][0], **fields}]}
+
+
 @pytest.mark.parametrize(
     "doc, fault",
     [
@@ -676,8 +681,24 @@ _PLANE_DOC = {
         (_PLANE_DOC, "1 components for a map of dimension 2"),
         ([_MAP_DOC], "not a padic-spectra/polymap-v1 document"),
         ({**_MAP_DOC, "domain": ["disc", "disc"]}, "does not list 1 coordinate descriptors"),
+        ({**_MAP_DOC, "p": None}, "p must be an integer"),
+        ({**_MAP_DOC, "precision": None}, "precision must be an integer"),
+        (_component_doc(numerator=[3, 25]), "numerator must be an object"),
+        (_component_doc(numerator={"1": None}), "numerator coefficient '1' must be"),
+        (_component_doc(numerator={"1": [3]}), "numerator coefficient '1' must be"),
+        ({**_MAP_DOC, "p": 5.9}, "p must be an integer"),
+        ({**_MAP_DOC, "precision": 8.7}, "precision must be an integer"),
+        ({**_MAP_DOC, "dimension": True}, "dimension must be an integer"),
+        (_component_doc(numerator={"1": True}), "numerator coefficient '1' must be"),
+        (_component_doc(denominator={"0": "0"}), "component 0 has a zero denominator"),
+        (_component_doc(numerator={"-1": "1", "1": "1"}), "numerator exponent key '-1'"),
+        ({**_MAP_DOC, "dimension": 0, "domain": [], "components": []},
+         "dimension must be at least 1"),
     ],
-    ids=["components-not-a-list", "too-few-components", "top-level-array", "domain-too-long"],
+    ids=["components-not-a-list", "too-few-components", "top-level-array", "domain-too-long",
+         "p-null", "precision-null", "numerator-not-an-object", "null-coefficient",
+         "list-coefficient", "p-float", "precision-float", "dimension-true",
+         "true-coefficient", "zero-denominator", "negative-exponent", "dimension-zero"],
 )
 def test_equalise_refuses_a_malformed_map_document(capsys, tmp_path, doc, fault):
     path = tmp_path / "map.json"

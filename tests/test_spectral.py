@@ -748,9 +748,10 @@ def test_stored_trajectories_match_per_jump_appends(max_store):
 
 
 def _gathering_sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
-                            _rate_cap_steps=2_000_000):
+                            _rate_cap_steps=2_000_000, rng=None):
     """The sampler before it carried only its live paths: each round gathers
-    the live paths' cells and clocks from arrays over all paths."""
+    the live paths' cells and clocks from arrays over all paths.  It draws
+    from `rng` when given, else from a Generator seeded with `seed`."""
     c, m, per = model.branching, model.level, model.cells_per_top
     ntops = len(model.tops)
     shells = [spectral._shell_rate(j, c, s, False) for j in range(1, m)]
@@ -764,7 +765,8 @@ def _gathering_sample_paths(model, s, t_max, n_paths, seed, start=None, max_stor
     child_width = np.array([c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
     sizes = np.array([(c - 1) * c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
     n = model.num_cells
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if start is None:
         states = rng.integers(0, n, size=n_paths)
     else:
@@ -826,6 +828,9 @@ SAMPLER_CASES = [(label, 0.05) for label, _ in builtin_models()] + [
     ("E/F_13 level 2", 0.15), ("P1(5) level 4", 0.024), ("P2(5) level 2", 0.075),
     ("E/F_13 level 3", 0.011), ("Y2(5) level 3", 0.005),
 ]
+SAMPLER_IDS = [
+    f"{label.replace('/', '').replace(' level ', '-m')}-t{t}" for label, t in SAMPLER_CASES
+]
 
 
 @pytest.fixture(scope="module")
@@ -839,10 +844,7 @@ def sampler_models():
 @pytest.mark.parametrize("horizon", ["t", "0"])
 @pytest.mark.parametrize("max_store", [0, 10, "all"])
 @pytest.mark.parametrize("start", [None, "fixed"])
-@pytest.mark.parametrize(
-    "label, t", SAMPLER_CASES,
-    ids=[f"{label.replace('/', '').replace(' level ', '-m')}-t{t}" for label, t in SAMPLER_CASES],
-)
+@pytest.mark.parametrize("label, t", SAMPLER_CASES, ids=SAMPLER_IDS)
 def test_sampler_makes_the_gathering_sampler_draws(sampler_models, label, t, start, max_store,
                                                     horizon):
     model = sampler_models[label]
@@ -865,17 +867,90 @@ def test_sampler_makes_the_gathering_sampler_draws(sampler_models, label, t, sta
         assert got.jump_counts.max() > 1
 
 
-def test_sampler_working_set_is_its_results_and_one_round():
-    # 10^5 paths on E13 m2: the three per-path results are 2.4 MB; a loop
-    # that keeps about 17 arrays over all paths alive peaks near 13 MB
+def _blockwise_gathering_sample_paths(model, s, t_max, n_paths, seed, block, start=None,
+                                      max_store=10):
+    """The gathering sampler run on consecutive blocks of paths, one
+    Generator for all of them, its results laid end to end."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    store = min(max_store, n_paths)
+    parts = [
+        _gathering_sample_paths(model, s, t_max, min(block, n_paths - lo), seed, start=start,
+                                max_store=max(0, store - lo), rng=rng)
+        for lo in range(0, n_paths, block)
+    ]
+    final_cells, jumps, first_holding = (
+        np.concatenate([getattr(part, field) for part in parts])
+        for field in ("final_cells", "jump_counts", "first_holding")
+    )
+    law = np.bincount(final_cells, minlength=model.num_cells).astype(np.float64) / n_paths
+    mean_holding = float(n_paths * t_max / (jumps.sum() + n_paths))
+    trajectories = [path for part in parts for path in part.trajectories]
+    return spectral.SimulationResult(
+        model.name, s, t_max, seed, final_cells, law, jumps, first_holding,
+        mean_holding, trajectories
+    )
+
+
+@pytest.mark.parametrize("horizon", ["t", "0"])
+@pytest.mark.parametrize("max_store", [0, 10, 300, "all"])
+@pytest.mark.parametrize("start", [None, "fixed"])
+@pytest.mark.parametrize("label, t", SAMPLER_CASES[-5:], ids=SAMPLER_IDS[-5:])
+def test_sampler_draws_block_by_block(monkeypatch, sampler_models, label, t, start, max_store,
+                                      horizon):
+    # 640 paths in blocks of 256: two full blocks and a half one; 300 stored
+    # paths cross the first block boundary
+    block = 256
+    monkeypatch.setattr(spectral, "_PATH_BLOCK", block)
+    model = sampler_models[label]
+    n_paths = 640
+    kwargs = {
+        "start": None if start is None else model.num_cells // 3 + 1,
+        "max_store": n_paths if max_store == "all" else max_store,
+    }
+    t = t if horizon == "t" else 0.0
+    got = spectral.sample_paths(model, 2, t, n_paths, seed=31, **kwargs)
+    ref = _blockwise_gathering_sample_paths(model, 2, t, n_paths, 31, block, **kwargs)
+    for field in ("final_cells", "jump_counts", "first_holding", "empirical_law"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.trajectories == ref.trajectories
+    assert len(got.trajectories) == min(kwargs["max_store"], n_paths)
+    assert got.to_json_dict() == ref.to_json_dict()
+    if horizon == "t":
+        assert got.jump_counts.max() > 1
+
+
+def test_sampler_refuses_a_negative_max_store(e13_model):
+    with pytest.raises(ValueError, match="max_store"):
+        spectral.sample_paths(e13_model, 2, 0.5, 100, seed=1, max_store=-1)
+
+
+def _assert_sampler_working_set(n_paths, t):
+    # E13 m2 (about 0.7 jumps a path at t = 0.05, two at 0.15): past the
+    # three per-path results (24 bytes a path), the sampler holds one block
+    # of paths.  Its allowance: 24 arrays of 8 bytes per block path alive at
+    # once (the live index, cell and clock and their compacted copies, one
+    # round's draws and temporaries) plus 1 MB for the rate tables, the law
+    # and the stored trajectories.  A few live arrays over all 10^6 paths
+    # would exceed it.
     model = build_elliptic_model(CurveSpec(13, -1, 0), 2)
+    allowance = 24 * 8 * spectral._PATH_BLOCK + 1e6
     tracemalloc.start()
     try:
-        spectral.sample_paths(model, 2, 0.15, 100_000, seed=20240517)
+        result = spectral.sample_paths(model, 2, t, n_paths, seed=20240517)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11e6, peak
+    assert result.jump_counts.sum() < 2_000_000
+    assert peak - 24 * n_paths < allowance, (peak, allowance)
+
+
+def test_sampler_working_set_is_its_results_and_one_round():
+    _assert_sampler_working_set(100_000, 0.15)
+
+
+def test_sampler_working_set_stays_one_block_at_a_million_paths():
+    _assert_sampler_working_set(1_000_000, 0.05)
 
 
 def test_sample_paths_json_summary(e13_model):
