@@ -6,7 +6,8 @@ The integral operator with kernel d_g(x,y)^(-s) is diagonalized by
 hierarchical wavelets.  On an elliptic-curve model the eigenvalue of a
 wavelet depends only on its ball's measure and the region its fiber sits
 in, which gives a closed form; the smallest eigenvalue determines the
-point count of the reduction, and an integer search inverts it.
+point count of the reduction, and a bisection over the Hasse window
+inverts it.
 """
 
 from fractions import Fraction
@@ -55,9 +56,9 @@ for label in ("a", "b", "c"):
     literal = published_eigenvalue(Fraction(1, q), label, 0, N, q)
     print(f"  region {label}: closed form {ok},  printed constants {literal}")
 
-# Hearing: lambda0 -> integer search over the Hasse window.  The search is
-# exact for every curve; the printed sandwich bounds are kept as diagnostics
-# and only contain N for counts comfortably above q.
+# Hearing: lambda0 -> bisection over the Hasse window, exact at integer s.
+# The printed sandwich bounds are kept as diagnostics and only contain N
+# for counts comfortably above q.
 for a4, a6 in ((-1, 0), (6, 6)):
     c = CurveSpec(13, a4, a6)
     n_true = count_points_bruteforce(c)

@@ -222,7 +222,7 @@ def cmd_hear(args):
     lam0 = min(spectral.class_eigenvalues(model, args.s).values())
     N_true = count_points_bruteforce(curve)
     try:
-        result = hear_points(lam0, curve.q, args.s, tolerance=args.tolerance)
+        result = hear_points(lam0, curve.q, args.s, tolerance=args.tolerance, level=args.level)
     except HearingError as err:
         payload = {
             "s": float(args.s),
@@ -359,7 +359,8 @@ def build_parser():
     hear = commands.add_parser("hear", help="spectrum, lambda0, inversion, comparison")
     _add_model_arguments(hear, elliptic_only=True)
     hear.add_argument("--s", type=_parse_exponent, default=2)
-    hear.add_argument("--tolerance", type=float, default=1e-9)
+    hear.add_argument("--tolerance", type=float, default=1e-9,
+                      help="match tolerance on lambda0 for non-integer s; integer s matches exactly")
     hear.add_argument("--strict", action="store_true",
                       help="exit 4 when a printed-formula diagnostic fails")
     _add_output_arguments(hear)

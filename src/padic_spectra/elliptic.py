@@ -33,9 +33,10 @@ N/q), so ``closed_form_eigenvalue`` does not use them;
 ``published_eigenvalue`` preserves the literal printed ones for
 discrepancy reporting.
 
-Hearing the point count inverts lambda0: a forward integer search over
-the Hasse window, unique because the forward map is strictly monotone in
-N.  The printed closed-form inversions (the s = 1 formula, the s > 1
+Hearing the point count inverts lambda0: a bisection over the Hasse
+window on the forward map N -> lambda0, unique because that map is
+strictly monotone in N, and exact (Fraction against Fraction) for integer
+s.  The printed closed-form inversions (the s = 1 formula, the s > 1
 sandwich, the t0 expressions) are attached to every result as
 diagnostics, never used for the inversion itself.
 """
@@ -43,6 +44,8 @@ diagnostics, never used for the inversion itself.
 from __future__ import annotations
 
 import array
+import bisect
+import functools
 import math
 from fractions import Fraction
 
@@ -437,40 +440,65 @@ def _paper_formula_diagnostics(lam, q, s, N):
     return {"s1": s1, "sandwich_lo": sandwich_lo, "sandwich_hi": sandwich_hi, "t0": t0}, notes
 
 
-def hear_points(lambda0_value, q, s, tolerance=1e-9):
-    """Recover the point count from lambda0 by forward integer search.
+def hear_points(lambda0_value, q, s, tolerance=1e-9, level=2):
+    """Recover the point count from lambda0 by bisection on the forward map.
 
-    Every integer N >= 6 in the Hasse window is pushed through the forward
-    closed form; the unique one matching within tolerance wins.  Raises
-    NoMatchError when nothing matches (inconsistent lambda0 or violated
-    hypotheses) and AmbiguousMatchError when two candidates match (the
-    forward map is strictly monotone, so this means the tolerance is too
-    loose).  The printed inversion formulas ride along as diagnostics.
-    A tolerance that is not positive and finite raises a plain ValueError.
+    The forward map N -> lambda0(N, q=q, s=s, level=level) is strictly
+    monotone over the Hasse window (N >= 6).  Its direction comes from the
+    two window ends; equal ends raise HearingError.  A bisection, memoised
+    within the call, finds the first N whose forward value is not below
+    lambda0 in that direction: about log2 of the window in evaluations.
+
+    An exact lambda0 (int or Fraction) at integer s is compared exactly:
+    the N whose exact forward value equals it, or NoMatchError, and the
+    tolerance is not used.  Otherwise the values are compared as floats:
+    from the bisection point the search walks outward while
+    |forward(N) - lambda0| < tolerance.  NoMatchError when nothing matches
+    (inconsistent lambda0 or violated hypotheses), AmbiguousMatchError when
+    two candidates do (the tolerance is too loose).  The printed inversion
+    formulas ride along as diagnostics.  A tolerance that is not positive
+    and finite raises a plain ValueError.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     lo, hi = hasse_window(q)
-    target = float(lambda0_value)
-    candidates = []
-    forward = {}
-    for N in range(max(lo, 6), hi + 1):
-        forward[N] = float(lambda0(N, q=q, s=s, level=2))
-        if abs(forward[N] - target) < tolerance:
-            candidates.append(N)
-    ordered = [forward[N] for N in sorted(forward)]
-    deltas = [b - a for a, b in zip(ordered, ordered[1:])]
-    if deltas and not (all(d > 0 for d in deltas) or all(d < 0 for d in deltas)):
+    first = max(lo, 6)
+    exact = _is_integral(s) and isinstance(lambda0_value, (int, Fraction))
+    target = lambda0_value if exact else float(lambda0_value)
+
+    @functools.cache
+    def forward(N):
+        value = lambda0(N, q=q, s=s, level=level)
+        return value if exact else float(value)
+
+    direction = (forward(hi) > forward(first)) - (forward(hi) < forward(first))
+    if not direction:
         raise HearingError("forward map not monotone across the window")
-    if not candidates:
-        raise NoMatchError(
-            f"no N in [{max(lo, 6)}, {hi}] matches lambda0 = {target!r}"
-            f" within {tolerance}"
-        )
-    if len(candidates) > 1:
-        raise AmbiguousMatchError(
-            f"candidates {candidates} all match within {tolerance}"
-        )
-    N = candidates[0]
+    N = first + bisect.bisect_left(
+        range(first, hi + 1), direction * target, key=lambda n: direction * forward(n)
+    )
+    if exact:
+        if N > hi or forward(N) != target:
+            raise NoMatchError(f"no N in [{first}, {hi}] has exact lambda0 = {target}")
+    else:
+        def near(n):
+            return first <= n <= hi and abs(forward(n) - target) < tolerance
+
+        below, above = N - 1, N
+        while near(below):
+            below -= 1
+        while near(above):
+            above += 1
+        candidates = list(range(below + 1, above))
+        if not candidates:
+            raise NoMatchError(
+                f"no N in [{first}, {hi}] matches lambda0 = {target!r}"
+                f" within {tolerance}"
+            )
+        if len(candidates) > 1:
+            raise AmbiguousMatchError(
+                f"candidates {candidates} all match within {tolerance}"
+            )
+        N = candidates[0]
     paper_formulas, notes = _paper_formula_diagnostics(target, q, s, N)
     return HearingResult(s, lambda0_value, N, (lo, hi), paper_formulas, notes)

@@ -419,12 +419,23 @@ def _coeffs_from_json(data, dimension, field):
     if not isinstance(data, dict):
         raise PAdicError(f"{field} must be an object of coefficients, got {data!r}")
     out = {}
+    keys = {}
     for key, value in data.items():
-        exps = tuple(int(e) for e in key.split(",")) if key else ()
+        try:
+            exps = tuple(int(e) for e in key.split(",")) if key else ()
+        except ValueError:
+            raise PAdicError(
+                f"{field} exponent key {key!r} is not a comma-separated list of integers"
+            ) from None
         if len(exps) != dimension:
             raise PAdicError(f"exponent key {key!r} has wrong arity for dimension {dimension}")
         if min(exps) < 0:
             raise PAdicError(f"{field} exponent key {key!r} has a negative exponent")
+        if exps in keys:
+            raise PAdicError(
+                f"{field} exponent keys {keys[exps]!r} and {key!r} give the same monomial"
+            )
+        keys[exps] = key
         fault = (f"{field} coefficient {key!r} must be an integer or a rational string,"
                  f" got {value!r}")
         if isinstance(value, bool) or not isinstance(value, (int, str)):

@@ -565,7 +565,7 @@ def test_hear_strict_flags_printed_formula_break(capsys):
 
 
 def test_hear_inversion_failure_exits_three(capsys, monkeypatch):
-    def boom(lam, q, s, tolerance=1e-9):
+    def boom(lam, q, s, tolerance=1e-9, level=2):
         raise NoMatchError("nothing fits")
 
     monkeypatch.setattr(cli, "hear_points", boom)
@@ -600,6 +600,24 @@ def test_hear_reads_no_reduced_block(capsys, monkeypatch, p, a4, a6):
     monkeypatch.setattr(spectral, "reduced_block_eigenvalues", unread)
     doc = run_json(capsys, "hear", "--p", p, "--a4", a4, "--a6", a6, "--s", "2")
     assert doc["agree"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, N",
+    [
+        # adjacent N share one float lambda0 here; their exact values differ
+        (["--p", "1009", "--s", "6"], 1040),
+        # for s < 0 the least class sits on the model's deepest balls
+        (["--p", "13", "--s", "-1", "--level", "3"], 8),
+        (["--p", "13", "--s", "-0.5", "--level", "4"], 8),
+        # integer s is matched exactly, so the tolerance does not apply
+        (["--p", "13", "--s", "2", "--tolerance", "10"], 8),
+    ],
+    ids=["p1009-s6", "s-1-level3", "s-0.5-level4", "integer-s-loose-tolerance"],
+)
+def test_hear_recovers_the_count_exactly(capsys, argv, N):
+    doc = run_json(capsys, "hear", "--a4", "-1", "--a6", "0", *argv)
+    assert doc["N_recovered"] == doc["N_bruteforce"] == N
 
 
 def test_hear_enumerates_nerve_paths_once_per_region_shape(capsys):
@@ -709,6 +727,30 @@ def test_equalise_refuses_a_malformed_map_document(capsys, tmp_path, doc, fault)
     assert err.startswith("error: ") and fault in err, err
 
 
+@pytest.mark.parametrize(
+    "doc, fault",
+    [
+        (_component_doc(numerator={"1": "3", "01": "2"}),
+         "numerator exponent keys '1' and '01' give the same monomial"),
+        (_component_doc(denominator={"0": "1", "00": "1"}),
+         "denominator exponent keys '0' and '00' give the same monomial"),
+        (_component_doc(numerator={"x": "3"}),
+         "numerator exponent key 'x' is not a comma-separated list of integers"),
+        (_component_doc(numerator={"1,": "3"}),
+         "numerator exponent key '1,' is not a comma-separated list of integers"),
+    ],
+    ids=["repeated-monomial", "repeated-denominator-monomial", "letter-key", "trailing-comma-key"],
+)
+def test_equalise_refuses_a_map_document_with_a_bad_exponent_key(capsys, tmp_path, doc, fault):
+    # a repeated monomial once kept only its later coefficient and exited 0
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "equalise", "--map", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and fault in err, err
+
+
 def test_program_paths_build_no_top_ball_objects(capsys, monkeypatch):
     # models hold their census and a region index per top; `tops` is a
     # view for readers outside the program, built only on access
@@ -744,7 +786,7 @@ CONFIG_CASES = {
 }
 
 
-def _no_match(lam, q, s, tolerance=1e-9):
+def _no_match(lam, q, s, tolerance=1e-9, level=2):
     raise NoMatchError("nothing fits")
 
 

@@ -6,6 +6,7 @@ standalone arithmetic in Z[w]/(w^2 - 2) mod 5.  Closed-form eigenvalues
 are frozen from exact rational quadrature of the distance kernel.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -377,3 +378,106 @@ def test_hearing_result_serializes():
     assert doc["N_recovered"] == 8
     assert doc["hasse_window"] == [6, 22]
     assert "paper_formulas" in doc and "notes" in doc
+
+
+# -- hearing by bisection ---------------------------------------------------------
+
+
+def _scan_hear(lambda0_value, q, s, tolerance=1e-9):
+    """The full float scan of the Hasse window that hear_points once ran:
+    every N pushed through the forward map, the unique match within
+    tolerance wins.  Returns N or raises as that scan did."""
+    lo, hi = hasse_window(q)
+    target = float(lambda0_value)
+    forward = {N: float(lambda0(N, q=q, s=s)) for N in range(max(lo, 6), hi + 1)}
+    ordered = list(forward.values())
+    deltas = [b - a for a, b in zip(ordered, ordered[1:])]
+    if not (all(d > 0 for d in deltas) or all(d < 0 for d in deltas)):
+        raise HearingError("forward map not monotone across the window")
+    candidates = [N for N, value in forward.items() if abs(value - target) < tolerance]
+    if not candidates:
+        raise NoMatchError("no match")
+    if len(candidates) > 1:
+        raise AmbiguousMatchError("several matches")
+    return candidates[0]
+
+
+def _outcome(hear, *args, **kwargs):
+    """The N a hearing returns, or the type of the error it raises."""
+    try:
+        found = hear(*args, **kwargs)
+    except HearingError as err:
+        return type(err)
+    return getattr(found, "N", found)
+
+
+# (q, N) of every curve the test suite builds
+SUITE_COUNTS = sorted(
+    {(p, N) for p, _, _, N in POINT_COUNTS}
+    | {(c.q, count_points_bruteforce(c))
+       for c in (CurveSpec(157, -1, 0), CurveSpec(701, -1, 0), CurveSpec(5, -1, 0, f=2))}
+)
+
+
+@pytest.mark.parametrize("s", [2, 3, 2.7])
+@pytest.mark.parametrize("q, N", SUITE_COUNTS)
+def test_bisection_agrees_with_the_full_scan(q, N, s):
+    lam = lambda0(N, q=q, s=s)
+    cases = [(float(lam), {}), (float(lam) + 1e-6, {}), (float(lam), {"tolerance": 10}),
+             (1000.0, {}), (-1.0, {})]
+    if isinstance(lam, Fraction):
+        cases += [(lam, {}), (lam + Fraction(1, 10**6), {})]
+    for value, kwargs in cases:
+        found = _outcome(hear_points, value, q, s, **kwargs)
+        assert found == _outcome(_scan_hear, value, q, s, **kwargs), (value, kwargs)
+    assert hear_points(lam, q, s).N == N
+
+
+@pytest.mark.parametrize("s", [2, 3, 2.7])
+@pytest.mark.parametrize("q", sorted({q for q, _ in SUITE_COUNTS}))
+def test_exact_forward_map_is_strictly_monotone_over_the_window(q, s):
+    lo, hi = hasse_window(q)
+    values = [lambda0(N, q=q, s=s) for N in range(max(lo, 6), hi + 1)]
+    assert all(type(v) is (float if s == 2.7 else Fraction) for v in values)
+    assert {(b > a) - (b < a) for a, b in zip(values, values[1:])} in ({1}, {-1})
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("q", [1000003, 10**8 + 7])
+def test_hearing_exact_round_trip_at_large_q(q, s):
+    # adjacent N share one float lambda0 here; the exact values still differ
+    lo, hi = hasse_window(q)
+    for N in (lo, q + 1, hi):
+        lam = lambda0(N, q=q, s=s)
+        assert hear_points(lam, q, s).N == N
+        with pytest.raises(NoMatchError):
+            hear_points(lam + Fraction(1, q**s), q, s)
+
+
+def test_exact_hearing_ignores_the_tolerance():
+    lam = lambda0(CurveSpec(13, -1, 0), s=2)
+    assert hear_points(lam, 13, 2, tolerance=10).N == 8
+
+
+@pytest.mark.parametrize("q", [13, 157, 1000003])
+def test_exact_hearing_evaluates_the_forward_map_log_window_times(monkeypatch, q):
+    lo, hi = hasse_window(q)
+    N = q + 1
+    lam = lambda0(N, q=q, s=2)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lambda0(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "lambda0", counted)
+    assert hear_points(lam, q, 2).N == N
+    assert len(calls) <= math.ceil(math.log2(hi - lo + 1)) + 4
+
+
+@pytest.mark.parametrize("s, level", [(-1, 3), (-0.5, 4), (3, 3)])
+def test_hearing_reads_the_forward_map_at_the_model_level(s, level):
+    # for s < 0 the least class sits on the deepest balls, so the level-2
+    # forward map misses it
+    lam = lambda0(8, q=13, s=s, level=level)
+    assert hear_points(lam, 13, s, level=level).N == 8
