@@ -249,9 +249,20 @@ def cmd_hear(args):
     return payload, None, code
 
 
+def _refuse_repeated_keys(pairs):
+    """A JSON object from its pairs; json.load alone keeps the later of two
+    equal keys, which would run a map the document does not state."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise PAdicError(f"map document repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 def cmd_equalise(args):
     with open(args.map) as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
     F = polymap_from_json_dict(data)
     H, shift, psi = equalise_pair(F)
     mismatches = check_composite_identity(F, H, psi, samples=args.samples, seed=args.seed)

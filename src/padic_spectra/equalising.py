@@ -218,7 +218,7 @@ def _jacobian_is_unit(apply_f, p, n, center, level):
             row.append(digit)
     try:
         _solve_linear_residue(jacobian, [0] * n, p, p)
-    except ArithmeticError:
+    except DomainError:
         return False
     return True
 
@@ -363,13 +363,8 @@ def equalise_pair(F):
         )
     norm_a = matrix_norm(A)
     m = 0
-    if norm_a >= 1:
-        e = 0
-        v = int(norm_a)
-        while v > 1:
-            v //= F.p
-            e += 1
-        m = e + 1
+    while norm_a >= F.p**m:  # ||p^m A|| = ||A|| / p^m
+        m += 1
     H = F.scale_and_add_identity(m)
     inverse = F.inverse if F.inverse is not None else NewtonInverse(F)
     psi = EqualisingPostComposition(F.p, n, m, inverse)

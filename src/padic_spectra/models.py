@@ -47,7 +47,7 @@ from .equalising import (
     equalising_number_of_map,
 )
 from .fields import FiniteField
-from .polymaps import PolynomialMap
+from .polymaps import DISC, SPHERE, PolynomialMap, _unit_exponent
 
 __all__ = [
     "ModelError",
@@ -459,7 +459,8 @@ def _projective_regions(q, n):
     masks = []
     for chart in range(n, -1, -1):
         masks.append((units << (chart + 1)) | (1 << chart))
-        units = ((np.arange(q) != 0)[:, None] | (units << 1)).ravel()
+        if chart:  # after chart 0 the q^(n+1) update would go unread
+            units = ((np.arange(q) != 0)[:, None] | (units << 1)).ravel()
     return regions, [f"chart{min(r)}" for r in regions], np.concatenate(masks[::-1]) - 1
 
 
@@ -473,22 +474,13 @@ def _projective_transitions(p, n, precision):
     transitions = {}
     for i in range(n + 1):
         slots = [k for k in range(n + 1) if k != i]
-        for j in range(n + 1):
-            if j == i:
-                continue
-            j_pos = slots.index(j)
-            denom = {tuple(1 if t == j_pos else 0 for t in range(n)): 1}
-            comps = []
-            for k in range(n + 1):
-                if k == j:
-                    continue
-                if k == i:
-                    numer = {(0,) * n: 1}
-                else:
-                    k_pos = slots.index(k)
-                    numer = {tuple(1 if t == k_pos else 0 for t in range(n)): 1}
-                comps.append((numer, denom))
-            domain = tuple("sphere" if t == j_pos else "disc" for t in range(n))
+        for j_pos, j in enumerate(slots):
+            denom = {_unit_exponent(j_pos, n): 1}
+            comps = [
+                ({(0,) * n if k == i else _unit_exponent(slots.index(k), n): 1}, denom)
+                for k in range(n + 1) if k != j
+            ]
+            domain = tuple(SPHERE if t == j_pos else DISC for t in range(n))
             transitions[(i, j)] = PolynomialMap(p, comps, domain, precision)
     return transitions
 

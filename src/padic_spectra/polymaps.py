@@ -5,11 +5,12 @@ Q_p^n to Q_p^n.  Each component is a polynomial, or a ratio of polynomials
 whose denominator is a unit everywhere on the stated domain (the projective
 transition maps need ratios; everything else is plain polynomials).
 
-Coefficients are :class:`~padic_spectra.padics.PAdicNumber`.  Point
-evaluation (ball-image enumeration, Newton inversion) runs in residue
-arithmetic modulo p^k, which agrees with the p-adic arithmetic on p-adic
-integers and is far cheaper; ball probes evaluate numpy blocks of points
-from the same compiled term lists.
+Coefficients are exact rationals (``Fraction``), and precision belongs to
+the map alone: a map is known modulo p^precision.  Point evaluation
+(ball-image enumeration, Newton inversion) runs in residue arithmetic modulo
+p^k for k up to that precision, which agrees with the p-adic arithmetic on
+p-adic integers and is far cheaper; ball probes evaluate numpy blocks of
+points from the same compiled term lists.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padics import PAdicError, PAdicNumber, PrecisionError
+from .padics import PAdicError, PAdicNumber, PrecisionError, _is_prime, _residue
 
 __all__ = [
     "DomainError",
+    "MAX_PRECISION",
     "PolynomialMap",
     "NewtonInverse",
     "identity_map",
@@ -33,6 +35,11 @@ __all__ = [
 DISC = "disc"
 SPHERE = "sphere"
 
+# The most digits a map document may state: equalise's cost grows faster
+# than the digit count (0.5 s at 1000 digits for 3x + 25x^2 over Z_5), while
+# the benchmark maps carry 8 digits and the model atlases level + 4.
+MAX_PRECISION = 64
+
 
 class DomainError(PAdicError):
     """A point or ball lies outside a map's stated domain."""
@@ -42,12 +49,6 @@ def _residue_dtype(modulus):
     """The array dtype of residues mod `modulus`: int64 while a product of
     two residues fits in it, else Python integers (object)."""
     return np.int64 if modulus < 2**31 else object
-
-
-def _as_padic(value, p, precision):
-    if isinstance(value, PAdicNumber):
-        return value
-    return PAdicNumber.from_rational(value, p, precision)
 
 
 def _eval_terms(terms, point):
@@ -61,21 +62,18 @@ def _eval_terms(terms, point):
     return total
 
 
+def _unit_exponent(i, dimension):
+    """The exponent key of the monomial x_i."""
+    return tuple(int(j == i) for j in range(dimension))
+
+
 def _poly_derivative(coeffs, var):
-    out = {}
-    for exps, c in coeffs.items():
-        e = exps[var]
-        if e == 0:
-            continue
-        new = list(exps)
-        new[var] = e - 1
-        key = tuple(new)
-        scaled = c * PAdicNumber.from_int(e, c.p, c.precision)
-        if key in out:
-            out[key] = out[key] + scaled
-        else:
-            out[key] = scaled
-    return out
+    """The partial derivative of a coefficient dict in variable `var`."""
+    return {
+        exps[:var] + (exps[var] - 1,) + exps[var + 1:]: c * exps[var]
+        for exps, c in coeffs.items()
+        if exps[var]
+    }
 
 
 class PolynomialMap:
@@ -86,10 +84,12 @@ class PolynomialMap:
     p : prime
     components : sequence of coefficient dicts, or (numerator, denominator)
         pairs of coefficient dicts; keys are exponent tuples of length
-        ``dimension``, values are PAdicNumber / int / Fraction.
+        ``dimension``, values are exact rationals (int / Fraction / str),
+        stored as Fraction.
     domain : per-coordinate descriptors, each "disc" (|x| <= 1) or
         "sphere" (|x| = 1).
-    precision : working precision for coefficients given as plain numbers.
+    precision : the map is known modulo p^precision; residues are served
+        modulo p^k for k <= precision only.
     inverse : optional registered inverse (a PolynomialMap or a
         NewtonInverse); required by callers that post-compose with F^{-1}.
     """
@@ -97,6 +97,10 @@ class PolynomialMap:
     __slots__ = ("p", "dimension", "components", "domain", "precision", "inverse")
 
     def __init__(self, p, components, domain, precision, inverse=None):
+        if not _is_prime(p) or p < 5:
+            raise PAdicError(f"p must be a prime >= 5, got {p}")
+        if precision < 1:
+            raise PrecisionError(f"precision must be at least 1 digit, got {precision}")
         self.p = p
         self.dimension = len(domain)
         for d in domain:
@@ -109,9 +113,9 @@ class PolynomialMap:
                 numer, denom = comp
             else:
                 numer, denom = comp, {(0,) * self.dimension: 1}
-            numer = {tuple(e): _as_padic(c, p, precision) for e, c in numer.items()}
-            denom = {tuple(e): _as_padic(c, p, precision) for e, c in denom.items()}
-            if all(c.is_zero for c in denom.values()):
+            numer = {tuple(e): Fraction(c) for e, c in numer.items()}
+            denom = {tuple(e): Fraction(c) for e, c in denom.items()}
+            if not any(denom.values()):
                 raise PAdicError(f"component {len(normalized)} has a zero denominator")
             normalized.append((numer, denom))
         if len(normalized) != self.dimension:
@@ -162,8 +166,9 @@ class PolynomialMap:
         the residue of the p-adic value.  A constant unit denominator is
         folded into the numerator's coefficients; any other denominator is
         evaluated and inverted per point, and raises DomainError where it is
-        not a unit.  Valid because all coefficients are p-adic integers at
-        sufficient precision; raises PrecisionError otherwise.
+        not a unit.  Raises PrecisionError when k exceeds the map's
+        precision, and PAdicError when a coefficient is not a p-adic
+        integer.
         """
         p = self.p
         modulus = p**k
@@ -245,18 +250,11 @@ class PolynomialMap:
     def _terms(self, coeffs, k):
         """The term list of a coefficient dict modulo p^k: (coefficient
         residue, variable indices repeated by exponent) per nonzero term."""
+        if k > self.precision:
+            raise PrecisionError(f"map known mod p^{self.precision}, need mod p^{k}")
         out = []
         for exps, c in coeffs.items():
-            if c.is_zero:
-                continue
-            if c.valuation < 0:
-                raise PAdicError("coefficient with negative valuation in residue mode")
-            if c.valuation + c.precision < k:
-                raise PrecisionError(
-                    f"coefficient known mod p^{c.valuation + c.precision},"
-                    f" need mod p^{k}"
-                )
-            residue = c.residue(k)
+            residue = _residue(c, self.p, k)
             if residue:
                 out.append((residue, tuple(i for i, e in enumerate(exps) for _ in range(e))))
         return out
@@ -279,43 +277,33 @@ class PolynomialMap:
     # -- structure ---------------------------------------------------------------
 
     def _require_polynomial(self):
+        one = {(0,) * self.dimension: 1}
         for _, denom in self.components:
-            keys = [e for e, c in denom.items() if not c.is_zero]
-            if keys != [(0,) * self.dimension] or not denom[keys[0]].agrees_with(
-                _as_padic(1, self.p, denom[keys[0]].precision)
-            ):
+            if {e: c for e, c in denom.items() if c} != one:
                 raise PAdicError("operation requires polynomial components")
 
     def linear_part(self):
-        """The n x n matrix of degree-1 coefficients (polynomial maps only)."""
+        """The n x n matrix of degree-1 coefficients (polynomial maps only),
+        as PAdicNumber entries."""
         self._require_polynomial()
         n = self.dimension
-        zero = PAdicNumber.zero(self.p, self.precision)
-        rows = []
-        for numer, _ in self.components:
-            row = []
-            for j in range(n):
-                key = tuple(1 if i == j else 0 for i in range(n))
-                row.append(numer.get(key, zero))
-            rows.append(row)
-        return rows
+        return [
+            [PAdicNumber(self.p, numer.get(_unit_exponent(j, n), 0)) for j in range(n)]
+            for numer, _ in self.components
+        ]
 
     def scale_and_add_identity(self, m):
-        """The map x -> p^m F(x) + x, as a new PolynomialMap."""
+        """The map x -> p^m F(x) + x, as a new PolynomialMap.  A coefficient
+        of x_i in component i that cancels to exactly 0 is dropped."""
         self._require_polynomial()
-        p_m = PAdicNumber.from_int(self.p**m, self.p, self.precision)
-        one = PAdicNumber.from_int(1, self.p, self.precision)
+        scale = self.p**m
         comps = []
         for i, (numer, _) in enumerate(self.components):
-            scaled = {exps: c * p_m for exps, c in numer.items()}
-            key = tuple(1 if j == i else 0 for j in range(self.dimension))
-            if key in scaled:
-                try:
-                    scaled[key] = scaled[key] + one
-                except PrecisionError:
-                    del scaled[key]
-            else:
-                scaled[key] = one
+            scaled = {exps: c * scale for exps, c in numer.items()}
+            key = _unit_exponent(i, self.dimension)
+            scaled[key] = scaled.get(key, 0) + 1
+            if not scaled[key]:
+                del scaled[key]
             comps.append(scaled)
         return PolynomialMap(self.p, comps, self.domain, self.precision)
 
@@ -323,11 +311,11 @@ class PolynomialMap:
 class NewtonInverse:
     """Registered inverse of a bi-analytic polynomial map, solved by Newton.
 
-    Evaluates F^{-1}(y) in residue arithmetic: starting from the affine
-    guess A^{-1}(y - a0), each step applies x -= J(x)^{-1} (F(x) - y)
-    modulo p^k.  With a unit Jacobian the iteration at least doubles the
-    number of correct digits, so log2(k) + 2 rounds suffice; the result is
-    verified by substitution and a failure raises instead of returning junk.
+    Evaluates F^{-1}(y) in residue arithmetic: starting from x = y, each
+    step applies x -= J(x)^{-1} (F(x) - y) modulo p^k.  With a unit
+    Jacobian the iteration at least doubles the number of correct digits,
+    so log2(k) + 2 rounds suffice; the result is verified by substitution
+    and a failure raises instead of returning junk.
     """
 
     __slots__ = ("target",)
@@ -342,33 +330,34 @@ class NewtonInverse:
         modulus = p**k
         apply_f = F.residue_function(k)
         apply_jac = F.jacobian_residue_function(k)
+        rounds = max(4, k.bit_length() + 2)
 
         def solve(y):
             x = list(y)
-            for _ in range(max(4, k.bit_length() + 2)):
+            for r in range(rounds + 1):
                 fx = apply_f(tuple(x))
                 residual = [(fx[i] - y[i]) % modulus for i in range(n)]
-                if all(r == 0 for r in residual):
+                if not any(residual):
                     return tuple(x)
-                jac = apply_jac(tuple(x))
-                step = _solve_linear_residue(jac, residual, p, modulus)
+                if r == rounds:
+                    raise ArithmeticError("Newton inversion did not converge")
+                step = _solve_linear_residue(apply_jac(tuple(x)), residual, p, modulus)
                 x = [(x[i] - step[i]) % modulus for i in range(n)]
-            fx = apply_f(tuple(x))
-            if all((fx[i] - y[i]) % modulus == 0 for i in range(n)):
-                return tuple(x)
-            raise ArithmeticError("Newton inversion did not converge")
 
         return solve
 
 
 def _solve_linear_residue(matrix, rhs, p, modulus):
-    """Solve M x = rhs mod p^k by Gaussian elimination with unit pivots."""
+    """Solve M x = rhs mod p^k by Gaussian elimination with unit pivots.
+
+    Raises DomainError when M is singular mod p: a Jacobian read there
+    leaves the map without a local inverse at that point."""
     n = len(rhs)
     m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] % p != 0), None)
         if pivot is None:
-            raise ArithmeticError("Jacobian is singular modulo p")
+            raise DomainError("Jacobian is singular modulo p")
         m[col], m[pivot] = m[pivot], m[col]
         inv = pow(m[col][col], -1, modulus)
         m[col] = [v * inv % modulus for v in m[col]]
@@ -382,10 +371,7 @@ def _solve_linear_residue(matrix, rhs, p, modulus):
 def identity_map(p, dimension, precision, domain=None):
     if domain is None:
         domain = (DISC,) * dimension
-    comps = []
-    for i in range(dimension):
-        key = tuple(1 if j == i else 0 for j in range(dimension))
-        comps.append({key: 1})
+    comps = [{_unit_exponent(i, dimension): 1} for i in range(dimension)]
     return PolynomialMap(p, comps, domain, precision)
 
 
@@ -394,18 +380,8 @@ def identity_map(p, dimension, precision, domain=None):
 POLYMAP_SCHEMA = "padic-spectra/polymap-v1"
 
 
-def _coeff_str(c):
-    if c.is_zero:
-        return "0"
-    value = Fraction(c.unit) * Fraction(c.p) ** c.valuation
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def _coeffs_to_json(coeffs):
-    out = {}
-    for exps, c in coeffs.items():
-        out[",".join(str(e) for e in exps)] = _coeff_str(c)
-    return dict(sorted(out.items()))
+    return dict(sorted((",".join(str(e) for e in exps), str(c)) for exps, c in coeffs.items()))
 
 
 def _int_from_json(data, field):
@@ -448,10 +424,8 @@ def _coeffs_from_json(data, dimension, field):
 
 
 def polymap_to_json_dict(f, include_inverse=True):
-    """Serialize a map losslessly at its stored precision.
-
-    Coefficients become exact rational strings (unit * p^valuation is a
-    rational carrying exactly the stored digits).  A registered polynomial
+    """Serialize a map losslessly: its precision, and each coefficient as
+    the exact rational string it is stored as.  A registered polynomial
     inverse is embedded; a Newton inverse is marked for reconstruction.
     """
     out = {
@@ -480,6 +454,10 @@ def polymap_from_json_dict(data):
                                for field in ("p", "dimension", "precision"))
     if dimension < 1:
         raise PAdicError(f"dimension must be at least 1, got {dimension}")
+    if not 1 <= precision <= MAX_PRECISION:
+        raise PrecisionError(
+            f"precision must be between 1 and {MAX_PRECISION} digits, got {precision}"
+        )
     domain = data.get("domain") or [DISC] * dimension
     if not isinstance(domain, list) or len(domain) != dimension:
         raise PAdicError(f"domain {domain!r} does not list {dimension} coordinate descriptors")
@@ -500,5 +478,5 @@ def polymap_from_json_dict(data):
         inverse = polymap_from_json_dict(raw_inverse)
     f = PolynomialMap(p, components, domain, precision, inverse=inverse)
     if raw_inverse == "newton":
-        f = PolynomialMap(p, components, domain, precision, inverse=NewtonInverse(f))
+        f.inverse = NewtonInverse(f)
     return f

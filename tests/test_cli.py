@@ -6,13 +6,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from padic_spectra import builtin_models, cli, models, spectral
 from padic_spectra.elliptic import CurveSpec, NoMatchError, build_elliptic_model
-from padic_spectra.polymaps import PolynomialMap, polymap_to_json_dict
+from padic_spectra.polymaps import MAX_PRECISION, PolynomialMap, polymap_to_json_dict
 
 
 def run(capsys, *argv):
@@ -666,6 +667,66 @@ def test_equalise_refuses_a_map_not_invertible_mod_p(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: linear part is not invertible mod p: det A is not a p-adic unit\n"
+
+
+def test_equalise_refuses_a_map_with_a_jacobian_singular_mod_p(capsys, tmp_path):
+    # 2x + x^2 has the unit det A = 2, but J = 2 + 2x vanishes at x = 4 mod
+    # 5, where the Newton inverse of the composite check has no step
+    F = PolynomialMap(5, [{(1,): 2, (2,): 1}], ("disc",), 8)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(polymap_to_json_dict(F)))
+    code, out, err = run(capsys, "equalise", "--map", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: Jacobian is singular modulo p\n"
+
+
+@pytest.mark.parametrize(
+    "coeffs, repaired",
+    [
+        ({(1,): 2, (2,): 25}, {"1": "11", "2": "125"}),
+        ({(1,): 3, (2,): 5}, {"1": "16", "2": "25"}),
+        # the document states the repaired map's exact coefficients, not
+        # their residues mod 5^8 (195316 and 390611)
+        ({(1,): Fraction(1, 2), (2,): 25}, {"1": "7/2", "2": "125"}),
+        ({(1,): -3, (2,): 25}, {"1": "-14", "2": "125"}),
+    ],
+    ids=["2x+25x2", "3x+5x2", "x/2+25x2", "-3x+25x2"],
+)
+def test_equalise_repairs_maps_with_a_unit_jacobian(capsys, tmp_path, coeffs, repaired):
+    F = PolynomialMap(5, [coeffs], ("disc",), 8)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(polymap_to_json_dict(F)))
+    doc = run_json(capsys, "equalise", "--map", str(path))
+    assert doc["shift_exponent"] == 1 and doc["composite_mismatches"] == 0
+    assert doc["equalised_map"]["components"][0]["numerator"] == repaired
+
+
+def test_equalise_refuses_a_repeated_literal_key(capsys, tmp_path):
+    # json.load keeps the later of two equal keys, so this document once
+    # ran as the map 2x and exited 0
+    text = json.dumps(_MAP_DOC).replace('"numerator": {', '"numerator": {"1": "1", ', 1)
+    assert '{"1": "1", "1": "3"' in text
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "equalise", "--map", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: map document repeats the key '1'\n"
+
+
+def test_equalise_takes_a_map_document_up_to_the_precision_ceiling(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({**_MAP_DOC, "precision": MAX_PRECISION}))
+    doc = run_json(capsys, "equalise", "--map", str(path))
+    assert doc["precision"] == MAX_PRECISION and doc["composite_mismatches"] == 0
+    for precision in (MAX_PRECISION + 1, 0):
+        path.write_text(json.dumps({**_MAP_DOC, "precision": precision}))
+        code, out, err = run(capsys, "equalise", "--map", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: precision must be between 1 and {MAX_PRECISION} digits,"
+                       f" got {precision}\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

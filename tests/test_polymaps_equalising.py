@@ -192,6 +192,13 @@ def test_equalise_pair_two_dimensional():
     assert check_composite_identity(F, H, psi, samples=40) == 0
 
 
+def test_scale_and_add_identity_drops_a_cancelled_identity_term():
+    # -x + 25x^2 at m = 0: the x coefficient -1 + 1 is exactly 0
+    F = _map1({(1,): -1, (2,): 25})
+    ((numer, _),) = F.scale_and_add_identity(0).components
+    assert numer == {(2,): 25}
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_composite_identity_needs_a_sample(samples):
     # no sample would report zero mismatches for an unchecked identity
@@ -212,6 +219,22 @@ def test_json_roundtrip_plain_polynomial():
     fx, gx = F.residue_function(5), G.residue_function(5)
     for x in range(0, 5**5, 311):
         assert fx((x,)) == gx((x,))
+
+
+def test_json_states_exact_coefficients():
+    F = _map1({(1,): Fraction(7, 2), (2,): -14, (3,): 5**9 + 1})
+    assert polymap_to_json_dict(F)["components"][0]["numerator"] == {
+        "1": "7/2", "2": "-14", "3": "1953126"
+    }
+
+
+def test_residues_beyond_the_map_precision_raise():
+    F = _map1({(1,): 1, (2,): 25}, prec=3)
+    assert F.residue_function(3)((7,)) == ((7 + 25 * 49) % 125,)
+    with pytest.raises(PrecisionError, match="known mod p\\^3, need mod p\\^4"):
+        F.residue_function(4)
+    with pytest.raises(PAdicError, match="not a p-adic integer"):
+        _map1({(1,): Fraction(1, 5)}).residue_function(2)
 
 
 def test_json_roundtrip_keeps_domain_and_precision():
@@ -254,13 +277,16 @@ def _old_poly_eval_residue(coeffs_mod, point, modulus):
     return total
 
 
-def _old_residues(coeffs, k):
-    return {exps: c.residue(k) for exps, c in coeffs.items() if not c.is_zero}
+def _old_residues(coeffs, p, k):
+    modulus = p**k
+    return {exps: c.numerator * pow(c.denominator, -1, modulus) % modulus
+            for exps, c in coeffs.items() if c}
 
 
 def _old_residue_function(F, k):
     modulus = F.p**k
-    tables = [(_old_residues(numer, k), _old_residues(denom, k)) for numer, denom in F.components]
+    tables = [(_old_residues(numer, F.p, k), _old_residues(denom, F.p, k))
+              for numer, denom in F.components]
 
     def apply(point):
         out = []
@@ -277,7 +303,7 @@ def _old_residue_function(F, k):
 
 def _old_jacobian_residue_function(F, k):
     modulus = F.p**k
-    rows = [[_old_residues(_poly_derivative(numer, j), k) for j in range(F.dimension)]
+    rows = [[_old_residues(_poly_derivative(numer, j), F.p, k) for j in range(F.dimension)]
             for numer, _ in F.components]
     return lambda point: [[_old_poly_eval_residue(e, point, modulus) for e in row]
                           for row in rows]
