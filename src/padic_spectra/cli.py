@@ -30,7 +30,7 @@ from .elliptic import (
     hear_points,
     serre_invariant,
 )
-from .equalising import check_composite_identity, equalise_pair
+from .equalising import NotInvertibleError, check_composite_identity, equalise_pair
 from .models import (
     PER_CELL_OUTPUT_LIMIT,
     ModelError,
@@ -266,6 +266,13 @@ def cmd_equalise(args):
     F = polymap_from_json_dict(data)
     H, shift, psi = equalise_pair(F)
     mismatches = check_composite_identity(F, H, psi, samples=args.samples, seed=args.seed)
+    if mismatches:
+        # a unit Jacobian everywhere does not make F injective mod p
+        # (2x + 2x^3 over Z_5 sends 0 and 2 to 0 mod 5)
+        raise NotInvertibleError(
+            f"psi(F(x)) != H(x) at {mismatches} of {args.samples} samples:"
+            " the map has no inverse on its domain"
+        )
     already = shift == float("-inf")
     payload = {
         "p": F.p,

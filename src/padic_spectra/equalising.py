@@ -25,12 +25,18 @@ mod p, and G is a bijection modulo every p^d exactly when det J(c) is a
 unit.  So the ball maps onto the equal-radius ball around F(c) exactly when
 J(c) is invertible mod p, which n + 1 evaluations decide: F(c) and
 F(c + p^N e_j), whose differences divided by p^N are the columns of J(c)
-mod p.  At level 0 the quadratic terms of F reach mod p, so there the
+mod p.  The search evaluates these points for all centres of a level in
+one numpy block, and one batched solve mod p marks the singular J(c).  At
+level 0 the quadratic terms of F reach mod p, so there the
 search keeps the exhaustive probe.  That probe, ball_image_is_equal_radius,
 evaluates the map at all p^(2n) residues of the ball, in numpy blocks of
 consecutive residues, and certifies the ball when every image lies in the
 equal-radius ball around the centre's image and no two residues collide;
 it is the certificate's oracle.
+
+The composite check psi . F = H of a repair also runs on numpy blocks of
+sample points: psi's Newton inverse of F takes its steps on a whole block,
+with one batched solve mod p^k per step.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .polymaps import (
     NewtonInverse,
     PolynomialMap,
     _residue_dtype,
-    _solve_linear_residue,
+    _solve_linear_residue_block,
     identity_map,
 )
 
@@ -144,8 +150,10 @@ def _pointwise_blocks(apply_f):
 
 
 def _residue_blocks(F, k):
-    """F's block evaluator modulo p^k; a map with only a per-point
-    residue_function (the Newton-based psi) is filled point by point."""
+    """F's block evaluator modulo p^k for the exhaustive probe.  Any other
+    map (psi, whose Newton block form raises at its first failing point
+    instead of marking it) is filled point by point, so that a collision
+    before the first failing residue still decides the ball."""
     if isinstance(F, PolynomialMap):
         return F.residue_block_function(k)
     return _pointwise_blocks(F.residue_function(k))
@@ -199,28 +207,45 @@ def _ball_image_is_equal_ball(apply_block, p, n, center, level, probe):
     return True
 
 
-def _jacobian_is_unit(apply_f, p, n, center, level):
-    """The Hensel certificate of a ball of level >= 1: reads J(center) mod p
-    from the n + 1 images of center and center + p^level e_j, and returns
-    False when one of those images leaves the ball around F(center) or when
-    J(center) is singular mod p."""
+def _jacobians_are_units(apply_block, p, n, centers, level):
+    """The Hensel certificate of the balls (c mod p^level), level >= 1, of
+    every centre c at once.  Evaluates the block of the centres and of the
+    points c + p^level e_j, reads each J(c) mod p from the image digits,
+    and takes the singular mask of one batched solve mod p.  Returns True
+    when every ball passes; otherwise the first failing centre in order
+    decides, as a loop over single centres would: False where an image
+    leaves the ball around F(c) or J(c) is singular mod p, DomainError
+    where a denominator is not a unit, each in the order centre, then
+    c + p^level e_1, ..., c + p^level e_n."""
     step = p**level
     modulus = p * step
-    y0 = apply_f(center)
-    jacobian = [[] for _ in range(n)]
-    for j in range(n):
-        x = list(center)
-        x[j] += step
-        for row, y, y_c in zip(jacobian, apply_f(tuple(x)), y0):
-            digit, off = divmod((y - y_c) % modulus, step)
-            if off:
-                return False
-            row.append(digit)
-    try:
-        _solve_linear_residue(jacobian, [0] * n, p, p)
-    except DomainError:
-        return False
-    return True
+    size = len(centers)
+    dtype = _residue_dtype(p ** (level + CERTIFY_DIGITS))
+    cs = [np.array(c, dtype) for c in zip(*centers)]
+    ys, bad = apply_block([np.concatenate([c] + [c + step * (i == j) for j in range(n)])
+                           for i, c in enumerate(cs)])
+    y0 = [y[:size] for y in ys]
+    outcomes = []  # (mask, raises) in the order one centre meets them
+    jacobian = [[None] * n for _ in range(n)]
+    for j in range(n + 1):
+        part = slice(j * size, (j + 1) * size)
+        if bad is not None:
+            outcomes.append((bad[part], True))
+        if j:
+            off = np.zeros(size, bool)
+            for row, y, y_c in zip(jacobian, ys, y0):
+                row[j - 1], rest = np.divmod((y[part] - y_c) % modulus, step)
+                off |= rest != 0
+            outcomes.append((off, False))
+    zeros = [np.zeros(size, np.int64)] * n
+    outcomes.append((_solve_linear_residue_block(jacobian, zeros, p, p)[1], False))
+    fail = np.logical_or.reduce([mask for mask, _ in outcomes])
+    if not fail.any():
+        return True
+    first = np.argmax(fail)
+    if next(raises for mask, raises in outcomes if mask[first]):
+        raise DomainError("denominator not a unit at this point")
+    return False
 
 
 def ball_image_is_equal_radius(F, center, level):
@@ -295,9 +320,8 @@ def equalising_number_of_map(F, radius_range):
                 for c in centers
             )
         else:
-            apply_f = F.residue_function(probe)
-            works[level] = all(
-                _jacobian_is_unit(apply_f, F.p, F.dimension, c, level) for c in centers
+            works[level] = _jacobians_are_units(
+                F.residue_block_function(probe), F.p, F.dimension, centers, level
             )
     result = None
     for level in range(n_max, n_min - 1, -1):
@@ -311,7 +335,8 @@ class EqualisingPostComposition:
     """The codomain change z -> p^m z + F^{-1}(z) produced by equalise_pair.
 
     Not a polynomial in general (it contains F^{-1}); it is evaluated on
-    residues only, through residue_function.
+    residues only, through residue_function on one point or
+    residue_block_function on a numpy block of points.
     """
 
     __slots__ = ("p", "dimension", "shift", "inverse")
@@ -332,6 +357,22 @@ class EqualisingPostComposition:
             return tuple(
                 (scale * point[i] + w[i]) % modulus for i in range(self.dimension)
             )
+
+        return apply
+
+    def residue_block_function(self, k):
+        """The evaluator of residue_function(k) on a block of points: p^m z
+        plus the inverse's own block evaluator.  Returns (images, bad) as
+        that evaluator does: a polynomial inverse marks its non-unit
+        denominators in bad, a Newton inverse raises at its first failing
+        point."""
+        inv = self.inverse.residue_block_function(k)
+        modulus = self.p**k
+        scale = self.p**self.shift % modulus
+
+        def apply(zs):
+            ws, bad = inv(zs)
+            return [(scale * z + w) % modulus for z, w in zip(zs, ws)], bad
 
         return apply
 
@@ -376,17 +417,45 @@ def check_composite_identity(F, H, psi, samples=100, seed=DEFAULT_SAMPLE_SEED):
     p^k, k = F.precision.
 
     Zero means the identity holds at working precision on every sample.
+    The samples are drawn one after another from random.Random(seed) and
+    evaluated in numpy blocks of _PROBE_BLOCK points, so the working set
+    does not grow with `samples`: F and H through their block evaluators,
+    psi through its own (a Newton inverse solves the block in batches).
+    When an evaluation fails, the first failing sample in order decides,
+    and within it F, then psi, then H: the error is what a loop over
+    single samples raises (DomainError at a non-unit denominator or a
+    Jacobian singular mod p, ArithmeticError when Newton does not
+    converge).
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     k = F.precision
     rng = random.Random(seed)
-    apply_f = F.residue_function(k)
-    apply_h = H.residue_function(k)
-    apply_psi = psi.residue_function(k)
+    dtype = _residue_dtype(F.p**k)
+    apply_f = F.residue_block_function(k)
+    apply_h = H.residue_block_function(k)
+    apply_psi = psi.residue_block_function(k)
     mismatches = 0
-    for _ in range(samples):
-        x = _random_center(F, k, rng)
-        if apply_psi(apply_f(x)) != apply_h(x):
-            mismatches += 1
+    for start in range(0, samples, _PROBE_BLOCK):
+        size = min(_PROBE_BLOCK, samples - start)
+        points = [_random_center(F, k, rng) for _ in range(size)]
+        xs = [np.array(c, dtype) for c in zip(*points)]
+        fx, f_bad = apply_f(xs)
+        hx, h_bad = apply_h(xs)
+        f_first, h_first = _first(f_bad, size), _first(h_bad, size)
+        # psi runs up to the first sample where F or H fails, so that its
+        # own first failure (it raises) is the first failure in order
+        reach = min(f_first, h_first + 1)
+        ws, psi_bad = apply_psi([y[:reach] for y in fx])
+        if min(f_first, _first(psi_bad, reach), h_first) < size:
+            raise DomainError("denominator not a unit at this point")
+        mismatches += int(np.logical_or.reduce([w != h for w, h in zip(ws, hx)]).sum())
     return mismatches
+
+
+def _first(mask, size):
+    """The index of the first True of a block mask, or `size` when there is
+    none."""
+    if mask is None or not mask.any():
+        return size
+    return int(np.argmax(mask))

@@ -9,8 +9,10 @@ Coefficients are exact rationals (``Fraction``), and precision belongs to
 the map alone: a map is known modulo p^precision.  Point evaluation
 (ball-image enumeration, Newton inversion) runs in residue arithmetic modulo
 p^k for k up to that precision, which agrees with the p-adic arithmetic on
-p-adic integers and is far cheaper; ball probes evaluate numpy blocks of
-points from the same compiled term lists.
+p-adic integers and is far cheaper; ball probes, the composite check and
+the Hensel certificate evaluate numpy blocks of points from the same
+compiled term lists, and a block Newton inversion solves the linear systems
+of all its points in one batch per step.
 """
 
 from __future__ import annotations
@@ -60,6 +62,31 @@ def _eval_terms(terms, point):
             c *= point[i]
         total += c
     return total
+
+
+def _eval_terms_block(terms, xs, modulus, dtype):
+    """The residues mod `modulus` of a term list on a block of points (n
+    arrays of residues), reduced after each product."""
+    total = np.zeros(len(xs[0]), dtype)
+    for c, variables in terms:
+        term = c
+        for i in variables:
+            term = term * xs[i] % modulus
+        total += term  # fewer than 2^32 residues below 2^31 fit in int64
+    return total % modulus
+
+
+def _inverse_block(d, p, modulus):
+    """The elementwise inverse of the units of `d` modulo p^k = modulus,
+    d^(phi(p^k) - 1) by repeated squaring; a non-unit gives a meaningless
+    residue, which the caller masks."""
+    result, e = np.ones_like(d), modulus - modulus // p - 1
+    while e:
+        if e & 1:
+            result = result * d % modulus
+        d = d * d % modulus
+        e >>= 1
+    return result
 
 
 def _unit_exponent(i, dimension):
@@ -209,38 +236,19 @@ class PolynomialMap:
         modulus = p**k
         dtype = _residue_dtype(modulus)
         tables = self._residue_tables(k)
-        exponent = (p - 1) * p ** max(k - 1, 0) - 1
-
-        def evaluate(terms, xs):
-            total = np.zeros(len(xs[0]), dtype)
-            for c, variables in terms:
-                term = c
-                for i in variables:
-                    term = term * xs[i] % modulus
-                total += term  # fewer than 2^32 residues below 2^31 fit in int64
-            return total % modulus
-
-        def invert(d):
-            result, e = np.ones_like(d), exponent
-            while e:
-                if e & 1:
-                    result = result * d % modulus
-                d = d * d % modulus
-                e >>= 1
-            return result
 
         def apply(xs):
             xs = [np.asarray(x, dtype) % modulus for x in xs]
             images, bad, inverses = [], None, {}
             for num, den in tables:
-                value = evaluate(num, xs)
+                value = _eval_terms_block(num, xs, modulus, dtype)
                 if den is not None:
                     key = tuple(den)  # components often share a denominator
                     if key not in inverses:
-                        d = evaluate(den, xs)
+                        d = _eval_terms_block(den, xs, modulus, dtype)
                         not_unit = d % p == 0
                         bad = not_unit if bad is None else bad | not_unit
-                        inverses[key] = invert(d)
+                        inverses[key] = _inverse_block(d, p, modulus)
                     value = value * inverses[key] % modulus
                 images.append(value)
             return images, bad
@@ -262,17 +270,22 @@ class PolynomialMap:
     def jacobian_residue_function(self, k):
         """Evaluator returning the Jacobian matrix mod p^k (polynomial maps
         only), from compiled term lists of the partial derivatives."""
-        self._require_polynomial()
         modulus = self.p**k
-        rows = [
-            [self._terms(_poly_derivative(numer, j), k) for j in range(self.dimension)]
-            for numer, _ in self.components
-        ]
+        rows = self._jacobian_terms(k)
 
         def apply(point):
             return [[_eval_terms(entry, point) % modulus for entry in row] for row in rows]
 
         return apply
+
+    def _jacobian_terms(self, k):
+        """The term lists mod p^k of the partial derivatives, row i column j
+        for d F_i / d x_j (polynomial maps only)."""
+        self._require_polynomial()
+        return [
+            [self._terms(_poly_derivative(numer, j), k) for j in range(self.dimension)]
+            for numer, _ in self.components
+        ]
 
     # -- structure ---------------------------------------------------------------
 
@@ -315,7 +328,9 @@ class NewtonInverse:
     step applies x -= J(x)^{-1} (F(x) - y) modulo p^k.  With a unit
     Jacobian the iteration at least doubles the number of correct digits,
     so log2(k) + 2 rounds suffice; the result is verified by substitution
-    and a failure raises instead of returning junk.
+    and a failure raises instead of returning junk.  residue_function runs
+    the iteration on one point; residue_block_function runs it on a numpy
+    block of points at once, with one batched solve per step.
     """
 
     __slots__ = ("target",)
@@ -346,6 +361,61 @@ class NewtonInverse:
 
         return solve
 
+    def residue_block_function(self, k):
+        """The evaluator of residue_function(k) on a block of points.
+
+        Takes n equal-length integer arrays, one per coordinate, and returns
+        (images, None) as PolynomialMap.residue_block_function does.  Every
+        point runs the same iteration at once: a point leaves the block
+        when its residual vanishes (converged) or when J(x) is singular mod
+        p, and each step takes J(x) from block-evaluated term lists of the
+        partial derivatives and solves all systems in one batch.  A point
+        still moving after the last round has not converged.  The block
+        raises what residue_function raises at its first point, in order,
+        that did not converge: DomainError at a singular Jacobian,
+        ArithmeticError after the last round.
+        """
+        F = self.target
+        p = F.p
+        modulus = p**k
+        dtype = _residue_dtype(modulus)
+        apply_f = F.residue_block_function(k)
+        jacobian = F._jacobian_terms(k)
+        rounds = max(4, k.bit_length() + 2)
+
+        def solve(ys):
+            ys = [np.asarray(y, dtype) % modulus for y in ys]
+            xs = [y.copy() for y in ys]
+            singular = np.zeros(len(ys[0]), bool)
+            live = np.arange(len(ys[0]))  # the points still iterating
+            for r in range(rounds + 1):
+                x = [c[live] for c in xs]
+                fx, _ = apply_f(x)
+                residual = [(a - y[live]) % modulus for a, y in zip(fx, ys)]
+                moving = np.logical_or.reduce([c != 0 for c in residual])
+                live = live[moving]
+                if r == rounds or not len(live):
+                    break
+                x = [c[moving] for c in x]
+                matrix = [[_eval_terms_block(entry, x, modulus, dtype) for entry in row]
+                          for row in jacobian]
+                step, stuck = _solve_linear_residue_block(
+                    matrix, [c[moving] for c in residual], p, modulus)
+                singular[live[stuck]] = True
+                keep = ~stuck
+                live = live[keep]
+                for c, x_i, step_i in zip(xs, x, step):
+                    c[live] = (x_i[keep] - step_i[keep]) % modulus
+            failed = singular.copy()
+            failed[live] = True
+            if failed.any():
+                if singular[np.argmax(failed)]:
+                    raise DomainError("Jacobian is singular modulo p")
+                raise ArithmeticError("Newton inversion did not converge")
+            return xs, None
+
+        return solve
+
 
 def _solve_linear_residue(matrix, rhs, p, modulus):
     """Solve M x = rhs mod p^k by Gaussian elimination with unit pivots.
@@ -366,6 +436,31 @@ def _solve_linear_residue(matrix, rhs, p, modulus):
                 factor = m[r][col]
                 m[r] = [(m[r][i] - factor * m[col][i]) % modulus for i in range(n + 1)]
     return [m[i][n] for i in range(n)]
+
+
+def _solve_linear_residue_block(matrix, rhs, p, modulus):
+    """_solve_linear_residue on a block of systems, one per point.
+
+    The n x n entries of `matrix` and the n entries of `rhs` are equal-length
+    arrays over the points.  Each point eliminates with its own unit pivot,
+    the first in its column as in the per-point form.  Returns (solution,
+    singular): the n solution arrays mod p^k, and the mask of the points
+    where M is singular mod p, whose solutions are meaningless."""
+    n = len(rhs)
+    m = np.array([list(row) + [b] for row, b in zip(matrix, rhs)], _residue_dtype(modulus))
+    points = np.arange(m.shape[2])
+    singular = np.zeros(m.shape[2], bool)
+    for col in range(n):
+        units = m[col:, col] % p != 0
+        singular |= ~units.any(axis=0)
+        pivot = col + np.argmax(units, axis=0)
+        row = m[pivot, :, points].T  # each point's pivot row
+        m[pivot, :, points] = m[col].T
+        m[col] = row * _inverse_block(row[col], p, modulus) % modulus
+        for r in range(n):
+            if r != col:
+                m[r] = (m[r] - m[r, col] * m[col]) % modulus
+    return list(m[:, n]), singular
 
 
 def identity_map(p, dimension, precision, domain=None):

@@ -681,6 +681,20 @@ def test_equalise_refuses_a_map_with_a_jacobian_singular_mod_p(capsys, tmp_path)
     assert err == "error: Jacobian is singular modulo p\n"
 
 
+def test_equalise_refuses_a_map_not_injective_mod_p(capsys, tmp_path):
+    # 2x + 2x^3 has a unit Jacobian everywhere, but sends 0 and 2 to 0 mod
+    # 5: Newton meets the other preimage, and psi(F(x)) != H(x) at 40 of the
+    # 100 samples of seed 1, where the command once exited 0
+    F = PolynomialMap(5, [{(1,): 2, (3,): 2}], ("disc",), 8)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(polymap_to_json_dict(F)))
+    code, out, err = run(capsys, "equalise", "--map", str(path), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: psi(F(x)) != H(x) at 40 of 100 samples:"
+                   " the map has no inverse on its domain\n")
+
+
 @pytest.mark.parametrize(
     "coeffs, repaired",
     [

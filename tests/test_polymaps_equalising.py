@@ -25,7 +25,7 @@ from padic_spectra.equalising import (
     NotInvertibleError,
     _ball_image_is_equal_ball,
     _centers_for_level,
-    _jacobian_is_unit,
+    _jacobians_are_units,
     _pointwise_blocks,
     ball_image_is_equal_radius,
     check_composite_identity,
@@ -45,6 +45,8 @@ from padic_spectra.polymaps import (
     NewtonInverse,
     PolynomialMap,
     _poly_derivative,
+    _solve_linear_residue,
+    _solve_linear_residue_block,
     identity_map,
     polymap_from_json_dict,
     polymap_to_json_dict,
@@ -573,6 +575,30 @@ def _result(call, *args):
         return type(err)
 
 
+def _jacobian_is_unit(apply_f, p, n, center, level):
+    """The per-point Hensel certificate, the oracle of the block form: reads
+    J(center) mod p from the n + 1 images of center and center + p^level
+    e_j, and returns False when one of those images leaves the ball around
+    F(center) or when J(center) is singular mod p."""
+    step = p**level
+    modulus = p * step
+    y0 = apply_f(center)
+    jacobian = [[] for _ in range(n)]
+    for j in range(n):
+        x = list(center)
+        x[j] += step
+        for row, y, y_c in zip(jacobian, apply_f(tuple(x)), y0):
+            digit, off = divmod((y - y_c) % modulus, step)
+            if off:
+                return False
+            row.append(digit)
+    try:
+        _solve_linear_residue(jacobian, [0] * n, p, p)
+    except DomainError:
+        return False
+    return True
+
+
 def _certificate(F, center, level):
     apply_f = F.residue_function(level + CERTIFY_DIGITS)
     return _jacobian_is_unit(apply_f, F.p, F.dimension, center, level)
@@ -677,7 +703,9 @@ def test_certificate_refuses_images_outside_the_ball():
 
 
 class _CountingMap:
-    """A map whose residue evaluators count their evaluations."""
+    """A map whose residue evaluators count the points they evaluate, one
+    at a time or in blocks; not a PolynomialMap, so the exhaustive probe
+    fills its blocks point by point."""
 
     def __init__(self, F):
         self.F = F
@@ -692,6 +720,15 @@ class _CountingMap:
         def counted(point):
             self.evaluations += 1
             return apply_f(point)
+
+        return counted
+
+    def residue_block_function(self, k):
+        apply_block = self.F.residue_block_function(k)
+
+        def counted(xs):
+            self.evaluations += len(xs[0])
+            return apply_block(xs)
 
         return counted
 
@@ -959,3 +996,283 @@ def test_equalise_pair_refuses_a_linear_part_singular_mod_p():
     for F in singular:
         with pytest.raises(NotInvertibleError, match="not a p-adic unit"):
             equalise_pair(F)
+
+
+# -- the block Newton inverse, composite check and certificate against the
+# -- per-point forms ------------------------------------------------------------
+
+
+def _raised(call, *args):
+    """call(*args), or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except (PAdicError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+def _loop_composite(F, H, psi, samples, seed):
+    """The per-point composite check, the oracle of the block form: one
+    sample at a time, F, then psi, then H."""
+    k = F.precision
+    rng = random.Random(seed)
+    apply_f, apply_h, apply_psi = (G.residue_function(k) for G in (F, H, psi))
+    mismatches = 0
+    for _ in range(samples):
+        x = equalising._random_center(F, k, rng)
+        if apply_psi(apply_f(x)) != apply_h(x):
+            mismatches += 1
+    return mismatches
+
+
+def _assert_composite_matches_the_loop(F, H, psi, samples, seeds):
+    answers = []
+    for seed in seeds:
+        expected = _raised(_loop_composite, F, H, psi, samples, seed)
+        assert _raised(check_composite_identity, F, H, psi, samples, seed) == expected, seed
+        answers.append(expected)
+    return answers
+
+
+def _repair_matches_the_loop(F, samples=100, seeds=(DEFAULT_SAMPLE_SEED,)):
+    return _assert_composite_matches_the_loop(F, *equalise_pair(F)[::2], samples, seeds)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_composite_check_matches_the_loop_on_the_benchmark_recipe(n):
+    # _far_from_identity_map draws as the benchmark's far_from_identity_map
+    # with one quadratic term per component; each map is checked at its seed
+    for seed in range(40):
+        F = _far_from_identity_map(random.Random(seed), n)
+        assert _repair_matches_the_loop(F, seeds=(seed,)) == [0]
+
+
+def test_block_composite_check_matches_the_loop_on_criterion_three():
+    # the 20 repairs of acceptance criterion 3, drawn in its order: each map
+    # is followed by 5 ball centres of F.dimension coordinates
+    from test_acceptance import _random_far_from_identity_map
+
+    rng = random.Random(7321)
+    for i in range(20):
+        F = _random_far_from_identity_map(rng)
+        assert _repair_matches_the_loop(F, seeds=(i,)) == [0]
+        for b in range(5):
+            for _ in range(F.dimension):
+                rng.randrange(F.p ** (1 + b % 2))
+
+
+@pytest.mark.parametrize("block_size", [2048, 3])
+def test_block_composite_check_raises_what_the_loop_raises(monkeypatch, block_size):
+    # 2x + x^2 has J = 2 + 2x, singular at x = 4 mod 5; the Newton inverse
+    # of 2x + a x^2 + 4x^3 first fails to converge (a = 2, 3, 7) or first
+    # meets a singular Jacobian; blocks of 3 put failures on every side of a
+    # block boundary
+    monkeypatch.setattr(equalising, "_PROBE_BLOCK", block_size)
+    maps = [_map1({(1,): 2, (2,): 1})] + [_map1({(1,): 2, (2,): a, (3,): 4}) for a in range(8)]
+    answers = set()
+    for F in maps:
+        answers |= set(_repair_matches_the_loop(F, samples=40, seeds=range(4)))
+    assert {answer[0] for answer in answers if isinstance(answer, tuple)} == {
+        DomainError, ArithmeticError}
+
+
+@pytest.mark.parametrize("block_size", [2048, 3])
+def test_block_composite_check_orders_failures_of_f_psi_and_h(monkeypatch, block_size):
+    # 1/x is not a unit at x = 0 mod 5: F, psi or H fail there, in the order
+    # F, psi, H within a sample; a polynomial psi marks, a Newton psi raises
+    monkeypatch.setattr(equalising, "_PROBE_BLOCK", block_size)
+    one, reciprocal = identity_map(5, 1, 8), PolynomialMap(5, [({(0,): 1}, {(1,): 1})],
+                                                           ("disc",), 8)
+    triples = [(reciprocal, reciprocal, one), (one, reciprocal, reciprocal),
+               (one, one, reciprocal), (reciprocal, reciprocal, reciprocal)]
+    for F, H, psi in triples:
+        answers = _assert_composite_matches_the_loop(F, H, psi, 30, range(3))
+        assert {answer[0] for answer in answers} == {DomainError}
+
+
+def test_block_composite_check_through_a_registered_polynomial_inverse():
+    # (2x, 3y + x^2) has the polynomial inverse (x/2, (y - x^2/4)/3); a
+    # registered map that is no inverse gives mismatches, and one with a
+    # non-unit denominator raises where F(x) = 0 mod 5
+    domain = ("disc", "disc")
+    F = PolynomialMap(5, [{(1, 0): 2}, {(0, 1): 3, (2, 0): 1}], domain, 8)
+    F.inverse = PolynomialMap(5, [{(1, 0): Fraction(1, 2)},
+                                  {(0, 1): Fraction(1, 3), (2, 0): Fraction(-1, 12)}], domain, 8)
+    assert _repair_matches_the_loop(F, samples=300, seeds=range(3)) == [0, 0, 0]
+    F.inverse = PolynomialMap(5, [{(1, 0): 3}, {(0, 1): 2}], domain, 8)
+    assert all(count > 0 for count in _repair_matches_the_loop(F, seeds=range(3)))
+    F.inverse = PolynomialMap(5, [({(0, 0): 1}, {(1, 0): 1}), {(0, 1): 1}], domain, 8)
+    assert {answer[0] for answer in _repair_matches_the_loop(F, seeds=range(3))} == {
+        DomainError}
+
+
+def test_block_composite_check_matches_the_loop_in_dimension_four():
+    for seed in range(6):
+        F = _far_from_identity_map(random.Random(seed), 4)
+        assert _repair_matches_the_loop(F, seeds=(seed,)) == [0]
+
+
+@pytest.mark.parametrize("samples", [1, 2047, 2048, 2049, 5000])
+def test_block_composite_check_counts_across_block_edges(samples):
+    # 2x + 2x^3 over Z_5 has a unit Jacobian everywhere but sends 0 and 2 to
+    # 0 mod 5, so Newton meets the wrong preimage from some samples
+    for F in (_map1({(1,): 2, (2,): 25}), _map1({(1,): 2, (3,): 2})):
+        _repair_matches_the_loop(F, samples=samples, seeds=(samples,))
+
+
+def test_block_composite_check_counts_a_map_not_injective_mod_p():
+    F = _map1({(1,): 2, (3,): 2})
+    H, _, psi = equalise_pair(F)
+    assert check_composite_identity(F, H, psi, 100, 1) == 40
+    assert _loop_composite(F, H, psi, 100, 1) == 40
+
+
+def test_block_composite_check_working_set_does_not_grow_with_samples():
+    # 2 * 10^5 dim-3 samples: without blocks the sample points alone would
+    # take about 20 MB as tuples and 4.8 MB per coordinate array
+    import tracemalloc
+
+    F = _far_from_identity_map(random.Random(11), 3)
+    H, _, psi = equalise_pair(F)
+    tracemalloc.start()
+    try:
+        assert check_composite_identity(F, H, psi, samples=200_000) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**22
+
+
+def _random_systems(rng, n, size, p, modulus):
+    """size random n x n systems mod p^k; every third has a matrix singular
+    mod p (its last row is a multiple of p plus a combination of the
+    others)."""
+    systems = []
+    for s in range(size):
+        m = [[rng.randrange(modulus) for _ in range(n)] for _ in range(n)]
+        if s % 3 == 0:
+            m[-1] = [(sum(m[r][j] for r in range(n - 1)) + p * rng.randrange(modulus)) % modulus
+                     for j in range(n)]
+        systems.append((m, [rng.randrange(modulus) for _ in range(n)]))
+    return systems
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_solve_matches_the_per_point_solve(n):
+    # int64 residues for 5^8, Python integers for 5^16
+    rng = random.Random(n)
+    for p, k in ((5, 1), (5, 8), (7, 3), (5, 16)):
+        modulus = p**k
+        systems = _random_systems(rng, n, 60, p, modulus)
+        matrix = [[np.array([m[i][j] for m, _ in systems]) for j in range(n)] for i in range(n)]
+        rhs = [np.array([b[i] for _, b in systems]) for i in range(n)]
+        solution, singular = _solve_linear_residue_block(matrix, rhs, p, modulus)
+        for s, (m, b) in enumerate(systems):
+            expected = _result(_solve_linear_residue, m, b, p, modulus)
+            if expected is DomainError:
+                assert singular[s]
+            else:
+                assert not singular[s] and [int(x[s]) for x in solution] == expected
+        assert singular[::3].all() if n > 1 else singular.any()
+
+
+def _newton_cases():
+    """Recipe maps of dimensions 1-4, the three cases of the composite tests,
+    and one map whose residues past 5^13 are Python integers."""
+    rng = random.Random(5)
+    maps = [_far_from_identity_map(rng, n) for n in (1, 2, 3, 4)]
+    maps += [_map1({(1,): 2, (2,): 1}), _map1({(1,): 2, (2,): 1, (3,): 1}),
+             _map1({(1,): 2, (3,): 2}), _map1({(1,): 2, (2,): 25}, prec=16)]
+    return maps
+
+
+def _block_answer(apply_block, points):
+    """A block evaluator's images as one tuple per point, or the type and
+    message of the error it raised."""
+    try:
+        images, bad = apply_block([np.array(c) for c in zip(*points)])
+    except (PAdicError, ArithmeticError) as err:
+        return type(err), str(err)
+    assert bad is None
+    return [tuple(int(c[j]) for c in images) for j in range(len(points))]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_block_newton_inverse_matches_the_per_point_newton(index):
+    # each point alone, then the whole block, which raises what the
+    # per-point form raises at its first failing point
+    F = _newton_cases()[index]
+    inverse = NewtonInverse(F)
+    k = F.precision
+    per_point, block = inverse.residue_function(k), inverse.residue_block_function(k)
+    rng = random.Random(index)
+    points = [tuple(rng.randrange(F.p**k) for _ in range(F.dimension)) for _ in range(200)]
+    outcomes = [_raised(per_point, y) for y in points]
+    failures = [answer for answer in outcomes if isinstance(answer[0], type)]
+    for y, expected in zip(points, outcomes):
+        answer = _block_answer(block, [y])
+        assert answer == (expected if expected in failures else [expected])
+    assert _block_answer(block, points) == (failures[0] if failures else outcomes)
+    # on points that are not images of F, the maps of degree 2 and 3 also
+    # meet singular Jacobians and fail to converge
+    expected = [set()] * 4 + [{DomainError, ArithmeticError}] * 2 + [{ArithmeticError}, set()]
+    assert {answer[0] for answer in failures} == expected[index]
+
+
+# every built-in atlas family over Q_5, and one atlas past p = 5
+BUILTIN_ATLASES = {
+    **ATLASES,
+    "Y1(5) m3": lambda: build_Y_model(5, 1, 3)[1],
+    "P2(7) m3": lambda: build_projective_model(7, 2, 3)[1],
+}
+
+
+def _loop_certificate(F, centers, level):
+    """The per-point certificate over centres in order, as the level search
+    ran it: the first centre that fails decides."""
+    apply_f = F.residue_function(level + CERTIFY_DIGITS)
+    return all(_jacobian_is_unit(apply_f, F.p, F.dimension, c, level) for c in centers)
+
+
+def _block_certificate(F, centers, level):
+    apply_block = F.residue_block_function(level + CERTIFY_DIGITS)
+    return _jacobians_are_units(apply_block, F.p, F.dimension, centers, level)
+
+
+def _assert_block_certificate_matches_the_loop(F, centers, level):
+    expected = _result(_loop_certificate, F, centers, level)
+    assert _result(_block_certificate, F, centers, level) == expected, (centers, level)
+    for c in centers:
+        assert _result(_block_certificate, F, [c], level) == _result(
+            _loop_certificate, F, [c], level), (c, level)
+    return expected
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_ATLASES))
+def test_block_certificate_matches_the_loop_on_every_atlas_transition(name):
+    rng = random.Random(DEFAULT_SAMPLE_SEED)
+    for tau in BUILTIN_ATLASES[name]().transitions.values():
+        for level in (1, 2, 3):
+            centers = _centers_for_level(tau, level, rng)
+            assert _assert_block_certificate_matches_the_loop(tau, centers, level) is True
+
+
+def test_block_certificate_decides_by_the_first_failing_centre():
+    # (x^3 + x^2) / x is x + x^2 where x is a unit: its Jacobian 1 + 2x is
+    # singular at centre 2, and its denominator is not a unit at centre 0
+    F = PolynomialMap(5, [({(3,): 1, (2,): 1}, {(1,): 1})], ("disc",), 8)
+    cases = [([(1,), (3,)], True), ([(2,), (5,)], False), ([(5,), (2,)], DomainError),
+             ([(1,), (7,), (10,)], False), ([(4,), (0,), (7,)], DomainError)]
+    for level in (1, 2):
+        for centers, expected in cases:
+            assert _assert_block_certificate_matches_the_loop(F, centers, level) == expected
+    for F in _probe_maps().values():
+        for level in (1, 2, 3):
+            centers = _centers_for_level(F, level, random.Random(level))
+            _assert_block_certificate_matches_the_loop(F, centers, level)
+    # through the per-point adapter: the images of leave=True leave the
+    # ball, and leave=False moves digit 1 of x + 5 to digit 2, so J = 0
+    centers = [(c,) for c in range(5)]
+    for leave in (True, False):
+        apply_f = _digit_map(5, 3, leave)
+        assert not any(_jacobian_is_unit(apply_f, 5, 1, c, 1) for c in centers)
+        assert _jacobians_are_units(_pointwise_blocks(apply_f), 5, 1, centers, 1) is False
