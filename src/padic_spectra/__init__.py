@@ -13,6 +13,7 @@ from .padics import PAdicError, PAdicNumber, PrecisionError
 from .fields import FiniteField, FqElement, additive_character_table
 from .polymaps import (
     DomainError,
+    NewtonConvergenceError,
     NewtonInverse,
     PolynomialMap,
     identity_map,

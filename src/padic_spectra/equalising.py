@@ -29,10 +29,20 @@ mod p.  The search evaluates these points for all centres of a level in
 one numpy block, and one batched solve mod p marks the singular J(c).  At
 level 0 the quadratic terms of F reach mod p, so there the
 search keeps the exhaustive probe.  That probe, ball_image_is_equal_radius,
-evaluates the map at all p^(2n) residues of the ball, in numpy blocks of
-consecutive residues, and certifies the ball when every image lies in the
-equal-radius ball around the centre's image and no two residues collide;
-it is the certificate's oracle.
+evaluates the map at all p^(2n) residues of the ball, and certifies the ball
+when every image lies in the equal-radius ball around the centre's image
+and no two residues collide; it is the certificate's oracle.  The residues
+of the ball (c mod p^N) modulo p^(N+2) form the product grid c_i + p^N t_i,
+t_i < p^2, so the evaluator gets one p^2-long array per axis and
+broadcasts: a linear term costs one pass along its axis, and only products
+of several variables and the sums reach the grid's size.  One engine takes
+a batch of balls with a ball axis in front (whole balls per numpy call,
+or one ball in sub-grids when it is large), reads each centre's image at
+t = 0, and counts the image offsets of every ball in one np.bincount: a
+ball passes when each count is 1.  A ball that meets a non-unit
+denominator is decided in itertools.product order, as a loop over single
+points would decide it.  The same engine serves one probe, the level-0
+balls of the level search, and the transition check of a model.
 
 The composite check psi . F = H of a repair also runs on numpy blocks of
 sample points: psi's Newton inverse of F takes its steps on a whole block,
@@ -41,6 +51,7 @@ with one batched solve mod p^k per step.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -75,7 +86,8 @@ __all__ = [
 CERTIFY_DIGITS = 2
 SAMPLE_SIZE = 32
 DEFAULT_SAMPLE_SEED = 20240517
-_PROBE_BLOCK = 2048  # residues per block of the exhaustive probe
+_PROBE_BLOCK = 8192  # residues per sub-grid of the exhaustive probe
+_SAMPLE_BLOCK = 2048  # sample points per block of the composite check
 
 
 class NotInvertibleError(PAdicError):
@@ -133,18 +145,26 @@ def _centers_for_level(F, level, rng):
 
 def _pointwise_blocks(apply_f):
     """The block form of a per-point residue function, filled one point at a
-    time.  When a point raises, the block ends before it, so the next block
-    starts there and raises only if no earlier point has failed the probe."""
+    time over the broadcast shape of its inputs.  A point where apply_f
+    raises is marked in the bad mask, except in a block of one point, where
+    the error propagates: the probe evaluates the residue that decides a
+    ball alone, so a per-point map raises its own error there."""
 
     def apply(xs):
-        images = []
-        try:
-            for x in zip(*(x.tolist() for x in xs)):
+        xs = np.broadcast_arrays(*xs)
+        points = list(zip(*(x.ravel().tolist() for x in xs)))
+        images, bad = [], np.zeros(len(points), bool)
+        for j, x in enumerate(points):
+            try:
                 images.append(apply_f(x))
-        except (PAdicError, ArithmeticError):
-            if not images:
-                raise
-        return list(np.array(images, xs[0].dtype).T), None
+            except (PAdicError, ArithmeticError):
+                if len(points) == 1:
+                    raise
+                images.append((0,) * len(xs))
+                bad[j] = True
+        shape = xs[0].shape
+        return ([np.array(y, xs[0].dtype).reshape(shape) for y in zip(*images)],
+                bad.reshape(shape))
 
     return apply
 
@@ -152,59 +172,102 @@ def _pointwise_blocks(apply_f):
 def _residue_blocks(F, k):
     """F's block evaluator modulo p^k for the exhaustive probe.  Any other
     map (psi, whose Newton block form raises at its first failing point
-    instead of marking it) is filled point by point, so that a collision
-    before the first failing residue still decides the ball."""
+    instead of marking it, and takes flat blocks only) is filled point by
+    point."""
     if isinstance(F, PolynomialMap):
         return F.residue_block_function(k)
     return _pointwise_blocks(F.residue_function(k))
 
 
-def _ball_image_is_equal_ball(apply_block, p, n, center, level, probe):
-    """Whether the span^n residues x of the ball mod p^probe map onto the
-    equal-radius ball around F(center): exactly when every F(x) is
-    F(center) mod p^level and no two share an image, since both sides have
-    span^n points.  The residues are walked in itertools.product order, in
-    blocks of _PROBE_BLOCK, and the first failing residue decides, as in a
-    loop over single points: an image outside the ball or a collision with
-    an earlier image returns False, a non-unit denominator raises
-    DomainError.  Each image's digits below the ball radius are marked in a
-    boolean mask."""
+def _sub_grids(shape, limit):
+    """The sub-grids, as tuples of slices, that tile an array of `shape` in
+    C order with at most max(limit, 1) cells each: whole trailing axes, a
+    run along the axis before them, and single indices along the leading
+    ones.  Each flattens to a contiguous range of the C order, and the
+    first starts at the origin."""
+    whole, cells = len(shape), 1
+    while whole and cells * shape[whole - 1] <= limit:
+        whole -= 1
+        cells *= shape[whole]
+    if not whole:
+        yield (slice(None),) * len(shape)
+        return
+    run = max(1, limit // cells)
+    tail = (slice(None),) * (len(shape) - whole)
+    for lead in itertools.product(*(range(m) for m in shape[:whole - 1])):
+        for s in range(0, shape[whole - 1], run):
+            yield tuple(slice(i, i + 1) for i in lead) + (slice(s, s + run),) + tail
+
+
+def _ball_images_are_equal_balls(apply_block, p, n, centers, level, probe):
+    """For each centre c in order, whether the span^n residues x of the ball
+    (c mod p^level) mod p^probe map onto the equal-radius ball around F(c):
+    exactly when every F(x) is F(c) mod p^level and no two share an image,
+    since both sides have span^n points.  Yields True or False per ball,
+    and raises at a ball decided by a non-unit denominator, as a loop over
+    single points in itertools.product order would: there the first
+    failing residue (an image outside the ball, a collision with an earlier
+    image, or a non-unit denominator) decides.
+
+    The residues of a ball are the grid c_i + p^level t_i, t_i < span, and
+    the evaluator gets it as axis-shaped arrays with a ball axis in front:
+    whole balls, as many as fit in _PROBE_BLOCK residues, or one ball in
+    sub-grids of at most _PROBE_BLOCK residues walked in order.  The
+    centre's image is read at t = 0, and a ball is a bijection when the
+    counts of its image offsets, one np.bincount, are all 1.  Only a ball
+    with a non-unit denominator needs the order: it raises when the
+    residues before its first such residue all stay in the ball and are
+    distinct."""
     modulus = p**probe
     step = p**level
     span = p ** (probe - level)
+    cells = span**n
     dtype = _residue_dtype(modulus)
-    center = [c % modulus for c in center]
-    # a non-unit denominator at the centre raises at the walk's first residue
-    y0 = [int(y[0]) for y in apply_block([np.array([c], dtype) for c in center])[0]]
-    axes = [(c + step * np.arange(span).astype(dtype)) % modulus for c in center]
-    total = span**n
-    seen = np.zeros(total, bool)
-    start = 0
-    while start < total:
-        code = np.arange(start, min(start + _PROBE_BLOCK, total))
-        xs = [None] * n
-        for i in range(n - 1, -1, -1):
-            code, digit = np.divmod(code, span)
-            xs[i] = axes[i][digit]
-        ys, bad = apply_block(xs)
-        size = len(ys[0])
-        fail = np.zeros(size, bool) if bad is None else bad.copy()
-        index = np.zeros(size, np.int64)
-        for y, y_c in zip(ys, y0):
-            offset = (y - y_c) % modulus
-            fail |= offset % step != 0
-            index = index * span + (offset // step).astype(np.int64)
-        order = np.argsort(index, kind="stable")
-        repeat = np.zeros(size, bool)
-        repeat[order[1:][index[order[1:]] == index[order[:-1]]]] = True
-        fail |= repeat | seen[index]
-        if fail.any():
-            if bad is not None and bad[np.argmax(fail)]:
+    t = np.arange(span).astype(dtype) * step
+    axes = [(np.array([c % modulus for c in coordinate], dtype)[:, None] + t) % modulus
+            for coordinate in zip(*centers)]
+    group = max(1, _PROBE_BLOCK // cells)  # whole balls per call, or one in sub-grids
+    for first in range(0, len(centers), group):
+        balls = slice(first, min(first + group, len(centers)))
+        size = balls.stop - first
+        counts = np.zeros((size, cells), np.int64)  # per ball, image offsets met so far
+        failed = np.zeros(size, bool)
+        raise_at = {}  # ball -> the non-unit residue that decides it
+        for number, part in enumerate(_sub_grids((span,) * n, _PROBE_BLOCK)):
+            xs = [axis[balls, part[i]].reshape((size,) + tuple(-1 if j == i else 1
+                                                                 for j in range(n)))
+                  for i, axis in enumerate(axes)]
+            ys, bad = apply_block(xs)
+            ys = [y.reshape(size, -1) for y in ys]
+            if not number:
+                rest0 = [y[:, :1] % step for y in ys]  # F(c) mod p^level, at t = 0
+            outside = np.zeros(ys[0].shape, bool)
+            index = 0
+            for y, r in zip(ys, rest0):
+                digit = y // step
+                outside |= y - digit * step != r
+                index = index * span + digit
+            del ys, y, digit  # the images go before the counts are made
+            index = index.astype(np.int64, copy=False)
+            if bad is not None:
+                bad = bad.reshape(size, -1)
+                for b in np.flatnonzero(bad.any(axis=1)):
+                    j = np.argmax(bad[b])
+                    before = np.bincount(index[b, :j], minlength=cells) + counts[b]
+                    if not outside[b, :j].any() and before.max() <= 1:
+                        shape = np.broadcast_shapes(*(x.shape[1:] for x in xs))
+                        raise_at[b] = [np.broadcast_to(x[b], shape).flat[j] for x in xs]
+                failed |= bad.any(axis=1)
+            index += np.arange(0, size * cells, cells)[:, None]
+            counts += np.bincount(index.ravel(), minlength=size * cells).reshape(size, cells)
+            failed |= outside.any(axis=1) | (counts > 1).any(axis=1)
+            if failed.all():
+                break
+        for b in range(size):
+            if b in raise_at:
+                apply_block([np.array([x]) for x in raise_at[b]])
                 raise DomainError("denominator not a unit at this point")
-            return False
-        seen[index] = True
-        start += size
-    return True
+            yield not failed[b]
 
 
 def _jacobians_are_units(apply_block, p, n, centers, level):
@@ -252,7 +315,7 @@ def ball_image_is_equal_radius(F, center, level):
     """Whether F maps the ball (center mod p^level) onto an equal-radius ball.
 
     Exhaustive over the ball's residues modulo p^(level + CERTIFY_DIGITS),
-    evaluated in numpy blocks: the oracle of the Hensel certificate that
+    evaluated as their product grid: the oracle of the Hensel certificate that
     equalising_number_of_map uses at levels >= 1.  Raises ValueError when
     the centre does not have F.dimension coordinates or the level is
     negative, and DomainError when the first residue that decides the ball
@@ -266,7 +329,8 @@ def ball_image_is_equal_radius(F, center, level):
         raise ValueError(f"ball level must be >= 0, got {level}")
     probe = level + CERTIFY_DIGITS
     apply_block = _residue_blocks(F, probe)
-    return _ball_image_is_equal_ball(apply_block, F.p, F.dimension, center, level, probe)
+    return next(_ball_images_are_equal_balls(apply_block, F.p, F.dimension, [center], level,
+                                             probe))
 
 
 def _check_radius_range(radius_range):
@@ -314,11 +378,8 @@ def equalising_number_of_map(F, radius_range):
             works[level] = False
             continue
         if level == 0:
-            apply_block = _residue_blocks(F, probe)
-            works[level] = all(
-                _ball_image_is_equal_ball(apply_block, F.p, F.dimension, c, level, probe)
-                for c in centers
-            )
+            works[level] = all(_ball_images_are_equal_balls(
+                _residue_blocks(F, probe), F.p, F.dimension, centers, level, probe))
         else:
             works[level] = _jacobians_are_units(
                 F.residue_block_function(probe), F.p, F.dimension, centers, level
@@ -418,13 +479,13 @@ def check_composite_identity(F, H, psi, samples=100, seed=DEFAULT_SAMPLE_SEED):
 
     Zero means the identity holds at working precision on every sample.
     The samples are drawn one after another from random.Random(seed) and
-    evaluated in numpy blocks of _PROBE_BLOCK points, so the working set
+    evaluated in numpy blocks of _SAMPLE_BLOCK points, so the working set
     does not grow with `samples`: F and H through their block evaluators,
     psi through its own (a Newton inverse solves the block in batches).
     When an evaluation fails, the first failing sample in order decides,
     and within it F, then psi, then H: the error is what a loop over
     single samples raises (DomainError at a non-unit denominator or a
-    Jacobian singular mod p, ArithmeticError when Newton does not
+    Jacobian singular mod p, NewtonConvergenceError when Newton does not
     converge).
     """
     if samples < 1:
@@ -436,8 +497,8 @@ def check_composite_identity(F, H, psi, samples=100, seed=DEFAULT_SAMPLE_SEED):
     apply_h = H.residue_block_function(k)
     apply_psi = psi.residue_block_function(k)
     mismatches = 0
-    for start in range(0, samples, _PROBE_BLOCK):
-        size = min(_PROBE_BLOCK, samples - start)
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        size = min(_SAMPLE_BLOCK, samples - start)
         points = [_random_center(F, k, rng) for _ in range(size)]
         xs = [np.array(c, dtype) for c in zip(*points)]
         fx, f_bad = apply_f(xs)

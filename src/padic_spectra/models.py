@@ -41,7 +41,7 @@ import numpy as np
 from .equalising import (
     CERTIFY_DIGITS,
     NOT_EQUALISING,
-    _ball_image_is_equal_ball,
+    _ball_images_are_equal_balls,
     _check_radius_range,
     _residue_blocks,
     equalising_number_of_map,
@@ -528,7 +528,9 @@ def verify_ball_transition_consistency(model, atlas, max_depth=2):
     its own `ball_centers(depth)`.  A centre lies in the region of i and
     the charts of its unit coordinates, and is probed exhaustively, as by
     `ball_image_is_equal_radius`, when that region is in the model's census
-    (f = 1 only); each transition is compiled once per depth.
+    (f = 1 only); each transition is compiled once per depth, and its
+    balls of that depth go to the probe's engine as one batch: the first
+    centre whose probe raises raises, and the failures are listed in order.
     Returns (checked, failures), a failure as ((i, j), depth, centre).
     """
     if model.f != 1:
@@ -539,13 +541,11 @@ def verify_ball_transition_consistency(model, atlas, max_depth=2):
         charts = [k for k in model.chart_ids if k != i]
         for depth in range(1, min(max_depth, model.level) + 1):
             probe = depth + CERTIFY_DIGITS
-            apply_block = _residue_blocks(tau, probe)
-            for centre in tau.ball_centers(depth):
-                region = frozenset([i] + [k for k, x in zip(charts, centre) if x % model.p])
-                if region not in model._census:
-                    continue
-                checked += 1
-                if not _ball_image_is_equal_ball(apply_block, tau.p, tau.dimension, centre, depth,
-                                                 probe):
-                    failures.append(((i, j), depth, centre))
+            centres = [centre for centre in tau.ball_centers(depth)
+                       if frozenset([i] + [k for k, x in zip(charts, centre) if x % model.p])
+                       in model._census]
+            checked += len(centres)
+            outcomes = _ball_images_are_equal_balls(_residue_blocks(tau, probe), tau.p,
+                                                    tau.dimension, centres, depth, probe)
+            failures += [((i, j), depth, c) for c, ok in zip(centres, outcomes) if not ok]
     return checked, failures

@@ -11,7 +11,8 @@ the map alone: a map is known modulo p^precision.  Point evaluation
 p^k for k up to that precision, which agrees with the p-adic arithmetic on
 p-adic integers and is far cheaper; ball probes, the composite check and
 the Hensel certificate evaluate numpy blocks of points from the same
-compiled term lists, and a block Newton inversion solves the linear systems
+compiled term lists (a ball probe passes axis-shaped arrays that broadcast to
+its grid of residues), and a block Newton inversion solves the linear systems
 of all its points in one batch per step.
 """
 
@@ -25,6 +26,7 @@ from .padics import PAdicError, PAdicNumber, PrecisionError, _is_prime, _residue
 
 __all__ = [
     "DomainError",
+    "NewtonConvergenceError",
     "MAX_PRECISION",
     "PolynomialMap",
     "NewtonInverse",
@@ -47,6 +49,10 @@ class DomainError(PAdicError):
     """A point or ball lies outside a map's stated domain."""
 
 
+class NewtonConvergenceError(PAdicError, ArithmeticError):
+    """Newton inversion did not reach a preimage within its rounds."""
+
+
 def _residue_dtype(modulus):
     """The array dtype of residues mod `modulus`: int64 while a product of
     two residues fits in it, else Python integers (object)."""
@@ -66,8 +72,11 @@ def _eval_terms(terms, point):
 
 def _eval_terms_block(terms, xs, modulus, dtype):
     """The residues mod `modulus` of a term list on a block of points (n
-    arrays of residues), reduced after each product."""
-    total = np.zeros(len(xs[0]), dtype)
+    arrays of residues that broadcast to one shape), reduced after each
+    product.  Each term is formed at the shape of its own variables, so a
+    term in one variable of an axis-shaped grid costs one pass along that
+    axis; only the sum reaches the full shape."""
+    total = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xs)), dtype)
     for c, variables in terms:
         term = c
         for i in variables:
@@ -77,16 +86,22 @@ def _eval_terms_block(terms, xs, modulus, dtype):
 
 
 def _inverse_block(d, p, modulus):
-    """The elementwise inverse of the units of `d` modulo p^k = modulus,
-    d^(phi(p^k) - 1) by repeated squaring; a non-unit gives a meaningless
-    residue, which the caller masks."""
-    result, e = np.ones_like(d), modulus - modulus // p - 1
+    """The elementwise inverse of the units among the residues `d` modulo
+    p^k = modulus: the inverse mod p, d^(p - 2) by repeated squaring, then
+    Newton's lift x <- x (2 - d x), which takes an inverse mod p^e to one
+    mod p^(2e).  A non-unit gives a meaningless residue, which the caller
+    masks."""
+    x, base, e = np.ones_like(d), d % p, p - 2
     while e:
         if e & 1:
-            result = result * d % modulus
-        d = d * d % modulus
+            x = x * base % p
+        base = base * base % p
         e >>= 1
-    return result
+    known = p
+    while known < modulus:
+        x = x * (2 - d * x % modulus) % modulus
+        known *= known
+    return x
 
 
 def _unit_exponent(i, dimension):
@@ -223,14 +238,18 @@ class PolynomialMap:
     def residue_block_function(self, k):
         """The evaluator of residue_function(k) on a block of points.
 
-        Takes n equal-length integer arrays, one per coordinate, and returns
-        (images, bad): the n arrays of image residues mod p^k, and None or
-        the boolean mask of the points where a denominator is not a unit
-        (their images are meaningless).  Uses the same term lists, reduced
-        after each product, in int64 when p^k < 2^31 (a product of two
-        residues fits) and in Python integers (dtype=object) otherwise.  A
-        denominator other than a constant unit is inverted elementwise by
-        raising it to phi(p^k) - 1.
+        Takes n integer arrays, one per coordinate, that broadcast to one
+        shape: equal-length flat arrays, or the axes of a grid of points
+        (coordinate i varying along its own axis only).  Returns (images,
+        bad): the n arrays of image residues mod p^k, each of the broadcast
+        shape, and None or the boolean mask of the points where a
+        denominator is not a unit (their images are meaningless).  Uses the
+        same term lists, reduced after each product, in int64 when p^k <
+        2^31 (a product of two residues fits) and in Python integers
+        (dtype=object) otherwise; a term is formed at the shape of its own
+        variables, so on a grid a linear term costs one pass along its
+        axis.  A denominator other than a constant unit is inverted
+        elementwise, mod p and then by Newton's lift to p^k.
         """
         p = self.p
         modulus = p**k
@@ -327,8 +346,9 @@ class NewtonInverse:
     Evaluates F^{-1}(y) in residue arithmetic: starting from x = y, each
     step applies x -= J(x)^{-1} (F(x) - y) modulo p^k.  With a unit
     Jacobian the iteration at least doubles the number of correct digits,
-    so log2(k) + 2 rounds suffice; the result is verified by substitution
-    and a failure raises instead of returning junk.  residue_function runs
+    so log2(k) + 2 rounds suffice; the result is verified by substitution,
+    and a point still moving after the last round raises
+    NewtonConvergenceError instead of returning junk.  residue_function runs
     the iteration on one point; residue_block_function runs it on a numpy
     block of points at once, with one batched solve per step.
     """
@@ -355,7 +375,7 @@ class NewtonInverse:
                 if not any(residual):
                     return tuple(x)
                 if r == rounds:
-                    raise ArithmeticError("Newton inversion did not converge")
+                    raise NewtonConvergenceError("Newton inversion did not converge")
                 step = _solve_linear_residue(apply_jac(tuple(x)), residual, p, modulus)
                 x = [(x[i] - step[i]) % modulus for i in range(n)]
 
@@ -373,7 +393,7 @@ class NewtonInverse:
         still moving after the last round has not converged.  The block
         raises what residue_function raises at its first point, in order,
         that did not converge: DomainError at a singular Jacobian,
-        ArithmeticError after the last round.
+        NewtonConvergenceError after the last round.
         """
         F = self.target
         p = F.p
@@ -411,7 +431,7 @@ class NewtonInverse:
             if failed.any():
                 if singular[np.argmax(failed)]:
                     raise DomainError("Jacobian is singular modulo p")
-                raise ArithmeticError("Newton inversion did not converge")
+                raise NewtonConvergenceError("Newton inversion did not converge")
             return xs, None
 
         return solve

@@ -695,6 +695,19 @@ def test_equalise_refuses_a_map_not_injective_mod_p(capsys, tmp_path):
                    " the map has no inverse on its domain\n")
 
 
+def test_equalise_refuses_a_map_whose_newton_inversion_does_not_converge(capsys, tmp_path):
+    # 2x + 2x^2 + 4x^3 over Z_5: from one of the 100 samples of seed 0,
+    # Newton's iteration for psi is still moving after its last round, and
+    # the command once exited 1 with a traceback
+    F = PolynomialMap(5, [{(1,): 2, (2,): 2, (3,): 4}], ("disc",), 8)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(polymap_to_json_dict(F)))
+    code, out, err = run(capsys, "equalise", "--map", str(path), "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: Newton inversion did not converge\n"
+
+
 @pytest.mark.parametrize(
     "coeffs, repaired",
     [

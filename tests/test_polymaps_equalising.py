@@ -7,6 +7,7 @@ independently of the library (see the per-map notes).
 """
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from padic_spectra.equalising import (
     NOT_EQUALISING,
     SAMPLE_SIZE,
     NotInvertibleError,
-    _ball_image_is_equal_ball,
+    _ball_images_are_equal_balls,
     _centers_for_level,
     _jacobians_are_units,
     _pointwise_blocks,
@@ -32,7 +33,12 @@ from padic_spectra.equalising import (
     equalise_pair,
     equalising_number_of_map,
 )
-from padic_spectra.models import Atlas, build_projective_model, build_Y_model
+from padic_spectra.models import (
+    Atlas,
+    build_projective_model,
+    build_Y_model,
+    verify_ball_transition_consistency,
+)
 from padic_spectra.padics import (
     PAdicError,
     PrecisionError,
@@ -42,8 +48,10 @@ from padic_spectra.padics import (
 from padic_spectra.polymaps import (
     POLYMAP_SCHEMA,
     DomainError,
+    NewtonConvergenceError,
     NewtonInverse,
     PolynomialMap,
+    _inverse_block,
     _poly_derivative,
     _solve_linear_residue,
     _solve_linear_residue_block,
@@ -534,6 +542,11 @@ def test_one_pass_probe_matches_the_two_set_probe(name):
         assert ball_image_is_equal_radius(F, (1,), 1)
 
 
+def _one_ball(apply_block, p, n, center, level, probe):
+    """The grid probe's answer on the one ball (center mod p^level)."""
+    return next(_ball_images_are_equal_balls(apply_block, p, n, [center], level, probe))
+
+
 def _digit_map(p, probe, leave):
     """A bijection of residues mod p^probe on base-p digits: leave=True adds
     digit 1 to digit 0 mod p, so points leave their level-1 ball while the
@@ -559,7 +572,7 @@ def test_one_pass_probe_on_images_outside_the_ball(leave):
     for c in range(p):
         expected = _old_ball_probe(apply_f, p, 1, (c,), level, probe)
         block = _pointwise_blocks(apply_f)
-        assert _ball_image_is_equal_ball(block, p, 1, (c,), level, probe) == expected
+        assert _one_ball(block, p, 1, (c,), level, probe) == expected
         assert _loop_ball_probe(apply_f, p, 1, (c,), level, probe) == expected
         assert expected is not leave
 
@@ -727,7 +740,7 @@ class _CountingMap:
         apply_block = self.F.residue_block_function(k)
 
         def counted(xs):
-            self.evaluations += len(xs[0])
+            self.evaluations += np.broadcast(*xs).size
             return apply_block(xs)
 
         return counted
@@ -873,7 +886,10 @@ def test_block_probe_finds_a_collision_split_across_two_blocks(pair):
     # of another block, the last of the block before or the very first
     p, n, level, probe = 5, 3, 0, 2
     total = 25**n
-    earlier, later = {"boundary": (equalising._PROBE_BLOCK - 1, equalising._PROBE_BLOCK),
+    first = next(equalising._sub_grids((25,) * n, equalising._PROBE_BLOCK))
+    boundary = math.prod(len(range(25)[axis]) for axis in first)  # its residues
+    assert boundary < total
+    earlier, later = {"boundary": (boundary - 1, boundary),
                       "first-and-last": (0, total - 1)}[pair]
     earlier, later = _product_residue(earlier, n, 25), _product_residue(later, n, 25)
 
@@ -883,7 +899,7 @@ def test_block_probe_finds_a_collision_split_across_two_blocks(pair):
     for f, expected in ((apply_f, False), (lambda x: x, True)):
         assert _loop_ball_probe(f, p, n, (0,) * n, level, probe) is expected
         block = _pointwise_blocks(f)
-        assert _ball_image_is_equal_ball(block, p, n, (0,) * n, level, probe) is expected
+        assert _one_ball(block, p, n, (0,) * n, level, probe) is expected
 
 
 @pytest.mark.parametrize("block_size", [25, 7])
@@ -891,19 +907,24 @@ def test_pointwise_blocks_raise_only_past_the_first_failure(monkeypatch, block_s
     # a per-point map that raises at one residue and sends another onto the
     # centre's image: walking from centre 1, the loop raises unless the
     # collision comes first, and so does the adapter, whether the raising
-    # residue is the centre, opens a block or sits inside one
+    # residue is the centre, opens a block or sits inside one; with blocks
+    # of 7, residue 8 opens the second block and collides with the centre
+    # in the first just before residue 9 raises.  The error raised is the
+    # map's own, as in the loop
     monkeypatch.setattr(equalising, "_PROBE_BLOCK", block_size)
     p, level, probe = 5, 0, 2
-    for raise_at, collide_at in ((7, 3), (3, 7), (9, None), (8, None), (0, None), (1, None)):
+    cases = itertools.product(((7, 3), (3, 7), (9, 8), (9, None), (8, None), (0, None),
+                               (1, None)), (DomainError, NewtonConvergenceError))
+    for (raise_at, collide_at), error in cases:
         def apply_f(x):
             if x[0] == raise_at:
-                raise DomainError("not a unit")
+                raise error("no image here")
             return (1,) if x[0] == collide_at else x
 
         expected = _result(_loop_ball_probe, apply_f, p, 1, (1,), level, probe)
         block = _pointwise_blocks(apply_f)
-        assert _result(_ball_image_is_equal_ball, block, p, 1, (1,), level, probe) == expected
-        assert expected == (False if collide_at == 3 else DomainError)
+        assert _result(_one_ball, block, p, 1, (1,), level, probe) == expected
+        assert expected == (False if collide_at in (3, 8) else error)
 
 
 def test_block_probe_over_python_integers_matches_the_loop():
@@ -925,7 +946,7 @@ class _CountingBlockMap(PolynomialMap):
         apply_block = super().residue_block_function(k)
 
         def counted(xs):
-            self.points += len(xs[0])
+            self.points += np.broadcast(*xs).size
             return apply_block(xs)
 
         return counted
@@ -933,18 +954,20 @@ class _CountingBlockMap(PolynomialMap):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_block_probe_evaluates_every_residue(n):
-    # the centre, then all p^(2n) residues of a ball that passes
+    # all p^(2n) residues of a ball that passes, each once (the centre's
+    # image is read from the grid), counted as the broadcast size of the
+    # evaluator's axis-shaped inputs
     F = _CountingBlockMap(5, identity_map(5, n, 8).components, ("disc",) * n, 8)
     F.points = 0
     assert ball_image_is_equal_radius(F, (3,) * n, 1)
-    assert F.points == 1 + 5 ** (2 * n)
+    assert F.points == 5 ** (2 * n)
     F.points = 0
     assert equalising_number_of_map(F, (0, 0)) == 0
-    assert F.points == 1 + 5 ** (2 * n)
+    assert F.points == 5 ** (2 * n)
     # a map with only a per-point residue_function goes through the adapter
     G = _CountingMap(identity_map(5, n, 8))
     assert equalising_number_of_map(G, (0, 0)) == 0
-    assert G.evaluations == 1 + 5 ** (2 * n)
+    assert G.evaluations == 5 ** (2 * n)
 
 
 @pytest.mark.parametrize(
@@ -957,6 +980,206 @@ def test_ball_probe_checks_its_inputs(center, level, match):
     F = identity_map(5, 2, 8)
     with pytest.raises(ValueError, match=match):
         ball_image_is_equal_radius(F, center, level)
+
+
+# -- the grid probe and its batches against the walk over single points --------
+
+
+def _sphere_reciprocals(n, slot):
+    """(1/u, ..., 1/u) with u = x_slot on the unit sphere: from (1, ..., 1) at
+    level 0 the walk meets a collision first when slot < n - 1 (the last
+    coordinate runs fastest), and the non-unit 5 first when slot = n - 1."""
+    u = tuple(int(i == slot) for i in range(n))
+    domain = tuple("sphere" if i == slot else "disc" for i in range(n))
+    return PolynomialMap(5, [({(0,) * n: 1}, {u: 1})] * n, domain, 8)
+
+
+def _grid_maps(n, rng, precision=8):
+    """A map that passes, its repair, a contraction (p x), a square in the
+    first coordinate (collisions at centres 0 mod p), and the two sphere
+    reciprocals."""
+    far = _far_from_identity_map(rng, n)
+    far = PolynomialMap(5, [numer for numer, _ in far.components], far.domain, precision)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    square = [{(2,) + (0,) * (n - 1): 1}] + [{unit[j]: 1} for j in range(1, n)]
+    return [far, equalise_pair(far)[0],
+            PolynomialMap(5, [{unit[j]: 5} for j in range(n)], ("disc",) * n, precision),
+            PolynomialMap(5, square, ("disc",) * n, precision),
+            _sphere_reciprocals(n, 0), _sphere_reciprocals(n, n - 1)]
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_probe_matches_the_walk_at_levels_zero_to_two(monkeypatch, n, small_blocks):
+    # every answer and error of the grid probe equals the walk's, with whole
+    # balls per call or many sub-grids per ball (runs of 7 residues, or one
+    # 25 x 25 plane in dimension 3, which also takes fewer balls)
+    if small_blocks:
+        monkeypatch.setattr(equalising, "_PROBE_BLOCK", 625 if n == 3 else 7)
+    rng = random.Random(n)
+    answers = set()
+    for F in _grid_maps(n, rng):
+        balls = [((0,) * n, 0), ((1,) * n, 0)]
+        for level in (1, 2):
+            centers = list(F.ball_centers(level))
+            balls += [(c, level) for c in rng.sample(centers, 2 if n == 3 else 4)]
+            balls += [((0,) * n, level)]  # off the sphere when F has one
+        answers |= _assert_block_probe_matches_the_loop(F, balls)
+    assert answers == {True, False, DomainError}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_probe_over_python_integers_matches_the_walk(n):
+    # p^(level + 2) = 5^14 > 2^31: the axes and the images are dtype=object
+    rng = random.Random(40 + n)
+    answers = set()
+    for F in _grid_maps(n, rng, precision=16)[:4]:
+        centers = [tuple(rng.randrange(5**12) for _ in range(n)) for _ in range(2)]
+        answers |= _assert_block_probe_matches_the_loop(F, [(c, 12) for c in centers])
+    assert answers == {True, False}
+
+
+def _shifted_digit_map(n, leave):
+    """_digit_map on the last coordinate, the identity on the others."""
+    last = _digit_map(5, 3, leave)
+    return lambda x: x[:-1] + last(x[-1:])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_probe_on_images_outside_the_ball(n):
+    # test_one_pass_probe_on_images_outside_the_ball in more dimensions,
+    # through the adapter: leave=True sends points out of their level-1
+    # ball, leave=False keeps each ball
+    rng = random.Random(n)
+    for leave in (True, False):
+        apply_f = _shifted_digit_map(n, leave)
+        for c in [(0,) * n] + [tuple(rng.randrange(5) for _ in range(n)) for _ in range(2)]:
+            expected = _loop_ball_probe(apply_f, 5, n, c, 1, 3)
+            assert _one_ball(_pointwise_blocks(apply_f), 5, n, c, 1, 3) is expected
+            assert expected is not leave
+
+
+def test_grid_probe_batch_matches_the_walk_ball_by_ball(monkeypatch):
+    # one batch of balls of mixed outcomes, in groups of whole balls or one
+    # ball in sub-grids, gives each ball the walk's answer until the first
+    # ball that raises, and raises there
+    rng = random.Random(3)
+    F = FIVE_OVER_ONE
+    for block in (8192, 50, 7):
+        monkeypatch.setattr(equalising, "_PROBE_BLOCK", block)
+        for _ in range(6):
+            centers = [(rng.randrange(1, 25),) for _ in range(6)]
+            expected = [_result(_loop_answer, F, c, 0) for c in centers]
+            apply_block = F.residue_block_function(2)
+            answers = []
+            try:
+                for ok in _ball_images_are_equal_balls(apply_block, 5, 1, centers, 0, 2):
+                    answers.append(ok)
+            except DomainError:
+                answers.append(DomainError)
+            assert answers == expected[:len(answers)]
+            assert len(answers) == len(expected) or answers[-1] is DomainError
+
+
+@pytest.mark.parametrize("block", [8192, 7])
+def test_level_zero_search_decides_by_the_first_ball_that_does_not_pass(monkeypatch, block):
+    # 5x/x from centre 1 collides before it meets a non-unit, from centre 4
+    # it meets the non-unit 5 first: the first of them in order decides e(A)
+    # at level 0, as all() over single probes did
+    monkeypatch.setattr(equalising, "_PROBE_BLOCK", block)
+    F = FIVE_OVER_ONE
+    for centers in ([(1,), (4,)], [(4,), (1,)], [(2,), (4,), (3,)], [(4,)]):
+        monkeypatch.setattr(equalising, "_centers_for_level", lambda F, level, rng: centers)
+        expected = _result(lambda: all(_loop_answer(F, c, 0) for c in centers))
+        answer = _result(equalising_number_of_map, F, (0, 0))
+        assert answer == (NOT_EQUALISING if expected is False else expected), centers
+        assert expected == (DomainError if centers[0] == (4,) else False)
+
+
+def _loop_transition_check(model, atlas, max_depth):
+    """The transition check as a loop over single balls, each walked point
+    by point: the oracle of the batches."""
+    checked, failures = 0, []
+    for (i, j), tau in atlas.transitions.items():
+        charts = [k for k in model.chart_ids if k != i]
+        for depth in range(1, min(max_depth, model.level) + 1):
+            for centre in tau.ball_centers(depth):
+                region = frozenset([i] + [k for k, x in zip(charts, centre) if x % model.p])
+                if region not in model._census:
+                    continue
+                checked += 1
+                if not _loop_answer(tau, centre, depth):
+                    failures.append(((i, j), depth, centre))
+    return checked, failures
+
+
+def test_transition_check_batches_match_the_loop():
+    # x^2 / (x - 3) on the sphere: its ball at centre 1 contracts (False)
+    # before the ball at centre 3, where the denominator is not a unit,
+    # raises; x + x^2 fails at the centres 2 mod 5 only
+    model, atlas, _ = build_projective_model(5, 1, 2)
+    raising = PolynomialMap(5, [({(2,): 1}, {(1,): 1, (0,): -3})], ("sphere",), 8)
+    critical = PolynomialMap(5, [{(1,): 1, (2,): 1}], ("sphere",), 8)
+    cases = [(atlas, None), (Atlas({(0, 1): raising}), DomainError),
+             (Atlas({(0, 1): critical, (1, 0): atlas.transitions[(1, 0)]}), None)]
+    for case, error in cases:
+        expected = _result(_loop_transition_check, model, case, 2)
+        assert _result(verify_ball_transition_consistency, model, case, 2) == expected
+        if error is not None:
+            assert expected is error
+    checked, failures = verify_ball_transition_consistency(model, cases[2][0], 2)
+    assert failures == [((0, 1), depth, c) for depth, c in
+                        [(1, (2,))] + [(2, (c,)) for c in range(2, 25, 5)]]
+    assert not _loop_answer(raising, (1,), 1)
+
+
+def _grid_axes(rng, n, lengths, bound):
+    """n integer arrays of the given lengths, each shaped to vary along its
+    own axis only."""
+    return [np.array([rng.randrange(bound) for _ in range(m)]).reshape(
+                tuple(m if j == i else 1 for j in range(n)))
+            for i, m in enumerate(lengths[:n])]
+
+
+@pytest.mark.parametrize("index", range(18))
+def test_broadcast_inputs_evaluate_as_the_same_points_flat(index):
+    # axis-shaped inputs give the images and the bad mask of the broadcast
+    # points passed as flat arrays, in int64 and in Python integers (5^14)
+    rng = random.Random(index)
+    for F, k in ((_evaluator_cases()[index], 3), (_evaluator_cases(16)[index], 14)):
+        apply_block = F.residue_block_function(k)
+        xs = _grid_axes(rng, F.dimension, (4, 3, 5), 3 * F.p**k)
+        images, bad = apply_block(xs)
+        flat_images, flat_bad = apply_block([x.ravel() for x in np.broadcast_arrays(*xs)])
+        shape = np.broadcast(*xs).shape
+        assert [y.shape for y in images] == [shape] * F.dimension
+        assert [y.ravel().tolist() for y in images] == [y.tolist() for y in flat_images]
+        assert (bad is None) == (flat_bad is None)
+        if bad is not None:
+            assert bad.shape == shape and bad.ravel().tolist() == flat_bad.tolist()
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (5, 4), (7, 3)])
+def test_lifted_inverse_matches_pow_on_every_unit(p, k):
+    modulus = p**k
+    residues = np.arange(modulus)
+    units = residues[residues % p != 0]
+    assert _inverse_block(units, p, modulus).tolist() == [
+        pow(int(u), -1, modulus) for u in units]
+    # a non-unit gives some residue, which the caller masks
+    assert len(_inverse_block(residues[::p], p, modulus)) == len(residues[::p])
+
+
+@pytest.mark.parametrize("p, k", [(5, 13), (5, 16)])
+def test_lifted_inverse_matches_pow_near_and_past_int64(p, k):
+    # 5^13 < 2^31 is the largest power of 5 in int64 arithmetic, 5^16 is
+    # dtype=object; a seeded sample of units and the extremes
+    modulus = p**k
+    rng = random.Random(k)
+    units = [1, 2, modulus - 1] + [u for u in (rng.randrange(modulus) for _ in range(3000))
+                                   if u % p]
+    d = np.array(units, equalising._residue_dtype(modulus))
+    assert _inverse_block(d, p, modulus).tolist() == [pow(u, -1, modulus) for u in units]
 
 
 def test_a_dim_three_probe_stays_small_and_imports_nothing(child_env):
@@ -1066,20 +1289,20 @@ def test_block_composite_check_raises_what_the_loop_raises(monkeypatch, block_si
     # of 2x + a x^2 + 4x^3 first fails to converge (a = 2, 3, 7) or first
     # meets a singular Jacobian; blocks of 3 put failures on every side of a
     # block boundary
-    monkeypatch.setattr(equalising, "_PROBE_BLOCK", block_size)
+    monkeypatch.setattr(equalising, "_SAMPLE_BLOCK", block_size)
     maps = [_map1({(1,): 2, (2,): 1})] + [_map1({(1,): 2, (2,): a, (3,): 4}) for a in range(8)]
     answers = set()
     for F in maps:
         answers |= set(_repair_matches_the_loop(F, samples=40, seeds=range(4)))
     assert {answer[0] for answer in answers if isinstance(answer, tuple)} == {
-        DomainError, ArithmeticError}
+        DomainError, NewtonConvergenceError}
 
 
 @pytest.mark.parametrize("block_size", [2048, 3])
 def test_block_composite_check_orders_failures_of_f_psi_and_h(monkeypatch, block_size):
     # 1/x is not a unit at x = 0 mod 5: F, psi or H fail there, in the order
     # F, psi, H within a sample; a polynomial psi marks, a Newton psi raises
-    monkeypatch.setattr(equalising, "_PROBE_BLOCK", block_size)
+    monkeypatch.setattr(equalising, "_SAMPLE_BLOCK", block_size)
     one, reciprocal = identity_map(5, 1, 8), PolynomialMap(5, [({(0,): 1}, {(1,): 1})],
                                                            ("disc",), 8)
     triples = [(reciprocal, reciprocal, one), (one, reciprocal, reciprocal),
@@ -1214,7 +1437,8 @@ def test_block_newton_inverse_matches_the_per_point_newton(index):
     assert _block_answer(block, points) == (failures[0] if failures else outcomes)
     # on points that are not images of F, the maps of degree 2 and 3 also
     # meet singular Jacobians and fail to converge
-    expected = [set()] * 4 + [{DomainError, ArithmeticError}] * 2 + [{ArithmeticError}, set()]
+    expected = ([set()] * 4 + [{DomainError, NewtonConvergenceError}] * 2
+                + [{NewtonConvergenceError}, set()])
     assert {answer[0] for answer in failures} == expected[index]
 
 
