@@ -462,7 +462,13 @@ def _heat_parts(model, s, t, paper_constant_term=False, complement=True):
     flat = None if complement else 1.0 / len(model.region_index)
     if paper_constant_term:
         flat = 1.0 / model.branching
-    return _synthesis(model, s, lambda x: np.exp(-t * x), flat)
+
+    def decay(x):
+        with np.errstate(over="ignore"):
+            tx = t * x  # past the float range it is inf, and exp(-inf) = 0 the limit
+        return np.exp(-tx)
+
+    return _synthesis(model, s, decay, flat)
 
 
 def _green_parts(model, s, complement=True):
@@ -640,8 +646,9 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     mu(y).  That law is isotropic on the ball tree: each jump draws an
     annulus by its total rate from a per-top table (the shell at join
     depth j inside x's top, rate (1 - 1/c) c^(j(s-1)), or another top T',
-    rate -Q[T, T'] of the reduced operator), then a uniform cell in it,
-    for all paths at once, with no cells x cells array and no cell limit.
+    the census region rate w_ab of the regions of T and T', `_rate_table`),
+    then a uniform cell in it, for all paths at once, with no cells x cells
+    array and no cell limit.
     Paths start from `start` (a cell) or, by default, from the uniform
     law, which is stationary.  Fully deterministic given the seed.  The
     first few trajectories are kept as (time, cell) lists; the untruncated
@@ -650,11 +657,12 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     together, raise RuntimeError.
 
     Working set: the three per-path results (final cell, jump count, first
-    holding time; 24 bytes a path) plus one block of _PATH_BLOCK paths,
-    whatever the path count.  Blocks run one after another from the one
-    Generator, each to its end: start cells, first holding times, then
-    rounds in which the block's live paths (index, cell and clock,
-    compacted as paths stop) jump, with one round's draws and their
+    holding time; 24 bytes a path), the one ntops x (m - 1 + ntops) search
+    table, built in place, plus one block of _PATH_BLOCK paths, whatever
+    the path count.  Blocks run one after another from the one Generator,
+    each to its end: start cells, first holding times, then rounds in which
+    the block's live paths (index, cell, its top and clock, compacted in a
+    round where some path stops) jump, with one round's draws and their
     temporaries.  A stopped path writes its final cell and jump count once;
     its clock is dropped.  Paths are i.i.d., so the blocks leave the law
     exact.
@@ -666,49 +674,78 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     if max_store < 0:
         raise ValueError(f"max_store must be at least 0, got {max_store}")
     _check_time(t_max)
+    n = model.num_cells
+    if start is not None and not 0 <= start < n:
+        raise ValueError(f"start cell {start} out of range")
     c = model.branching
     m = model.level
     per = model.cells_per_top
     ntops = len(model.region_index)
-    # jump rates per top: the m - 1 shells inside it, then every top (itself 0)
-    shells = [_shell_rate(j, c, s, False) for j in range(1, m)]
-    table = np.hstack([np.tile(shells, (ntops, 1)), -reduced_operator(model, s)])
+    width = m - 1 + ntops
+    # jump rates per top: the m - 1 shells inside it, then every top T' at
+    # the rate w_ab of the two tops' census regions (itself 0)
+    _, idx, distances = _region_table(model)
+    w = np.array(_rate_table(distances, np.bincount(idx), c, s, False))
+    table = np.empty((ntops, width))
+    table[:, : m - 1] = [_shell_rate(j, c, s, False) for j in range(1, m)]
+    for a, row in enumerate(w[:, idx]):
+        table[idx == a, m - 1 :] = row
     np.fill_diagonal(table[:, m - 1 :], 0.0)
-    cum = np.cumsum(table, axis=1)
-    rates = cum[:, -1]
-    width = table.shape[1]
-    # the per-top rows laid end to end, row i shifted into [i, i + 1]
-    flat = (cum / rates[:, None] + np.arange(ntops)[:, None]).ravel()
     # the flat index of each row's last nonzero rate
     last = (np.arange(ntops) + 1) * width - 1 - np.argmax(table[:, ::-1] > 0, axis=1)
-    child_width = np.array([c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
-    sizes = np.array([(c - 1) * c ** (m - 1 - j) for j in range(1, m)] + [per] * ntops)
+    # the per-top rows laid end to end, each cumulated, normalised and row i
+    # shifted into [i, i + 1], in place
+    np.cumsum(table, axis=1, out=table)
+    rates = table[:, -1].copy()
     scale = 1.0 / rates
-    n = model.num_cells
+    table /= rates[:, None]
+    table += np.arange(ntops)[:, None]
+    flat = table.ravel()
+    # the shell columns of the rows, one array over the tops per shell
+    bounds = table[:, : m - 1].T.copy()
+    # per annulus column: its cell count, the child width of its depth-j
+    # ball, the width of x's own child to skip and the first cell of its
+    # top.  A top column's child width n exceeds every cell, so x's ball
+    # starts at 0 and the move lands at the top's first cell plus the draw.
+    shell_child = [c ** (m - 1 - j) for j in range(1, m)]
+    sizes = np.array([(c - 1) * cw for cw in shell_child] + [per] * ntops)
+    child = np.array(shell_child + [n] * ntops)
+    skip = np.array(shell_child + [0] * ntops)
+    first_cell = np.concatenate([np.zeros(m - 1, dtype=np.int64), np.arange(ntops) * per])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-    def jump(cells):
-        """Move the paths at these cells by one jump each, in place: an
-        annulus of x's row by its rate, then a uniform cell in it.  Its
-        temporaries are freed on return, before the next round's draws."""
-        hit = rng.random(cells.size)
-        hit += cells // per
-        hit = np.searchsorted(flat, hit, side="right")
-        np.minimum(hit, last[cells // per], out=hit)  # u + top can round up to top + 1
-        hit %= width  # the annulus: a column of x's row
-        r = rng.integers(0, sizes[hit])
+    def jump(cells, top):
+        """The cells of these paths after one jump each: an annulus of x's
+        row by its rate, then a uniform cell in it.  Its temporaries are
+        freed on return, before the next round's draws."""
+        u = rng.random(cells.size)
+        u += top
+        # the annulus, a column of x's row: the count of the row's entries
+        # at or below u + top (the flat search's place in the row).  The m - 1
+        # shell comparisons settle it, unless u + top is past them all (a
+        # jump to another top): those paths search the flat rows.
+        hit = np.zeros(cells.size, dtype=np.int64)
+        for bound in bounds:
+            hit += bound.take(top) <= u
+        far = np.flatnonzero(hit == m - 1)
+        far_top = top.take(far)
+        col = np.searchsorted(flat, u.take(far), side="right")
+        np.minimum(col, last.take(far_top), out=col)  # u + top can round up to top + 1
+        col -= far_top * width
+        hit[far] = col
+        r = rng.integers(0, sizes.take(hit))
         # shell: another child of x's depth-j ball; else: a cell of top T'
-        cw = child_width[hit]
-        off = cells % (cw * c)  # x's place in its depth-j ball (cw * c divides per)
-        cells -= off
-        off -= off % cw  # where x's own child starts
-        r += ((r >= off) & (hit < m - 1)) * cw  # skip x's own child
-        across = hit >= m - 1
-        cells[across] = (hit[across] - (m - 1)) * per
-        cells += r
+        cw = child.take(hit)
+        own = cells // cw
+        ball = own // c
+        own *= cw  # where x's own child starts
+        cw *= c
+        ball *= cw  # where x's depth-j ball starts
+        ball += first_cell.take(hit)
+        ball += r
+        ball += (ball >= own) * skip.take(hit)  # skip x's own child
+        return ball
 
-    if start is not None and not 0 <= start < n:
-        raise ValueError(f"start cell {start} out of range")
     final_cells = np.empty(n_paths, dtype=np.int64)
     jumps = np.empty(n_paths, dtype=np.int64)
     first_holding = np.empty(n_paths)
@@ -723,31 +760,41 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
             cells = rng.integers(0, n, size=size)
         else:
             cells = np.full(size, start, dtype=np.int64)
-        # the block's live paths: index (ascending), cell and clock.  Every
-        # live path jumps or stops in each round, so one live in round k has
-        # jumped k times.
+        # the block's live paths: index (ascending), cell, its top and clock.
+        # Every live path jumps or stops in each round, so one live in round
+        # k has jumped k times.
         live = np.arange(lo, lo + size)
         stored = np.searchsorted(live, store)
         kept.append((live[:stored].copy(), np.zeros(stored), cells[:stored].copy()))
-        first_holding[lo : lo + size] = clocks = rng.exponential(scale[cells // per])
+        top = cells // per
+        clocks = rng.standard_exponential(size)
+        clocks *= scale.take(top)
+        first_holding[lo : lo + size] = clocks
         for k in itertools.count():
             done = clocks >= t_max
-            final_cells[live[done]] = cells[done]
-            jumps[live[done]] = k
-            running = ~done
-            live, cells, clocks = live[running], cells[running], clocks[running]
-            if not live.size:
-                break
-            jump(cells)
-            stored = np.searchsorted(live, store)
-            kept.append(tuple(a[:stored].copy() for a in (live, clocks, cells)))
+            stops = np.flatnonzero(done)
+            if stops.size:
+                gone = live.take(stops)
+                final_cells[gone] = cells.take(stops)
+                jumps[gone] = k
+                if stops.size == live.size:
+                    break
+                running = np.flatnonzero(~done)
+                live, cells, top, clocks = (a.take(running) for a in (live, cells, top, clocks))
+            cells = jump(cells, top)
+            top = cells // per
+            if live[0] < store:
+                stored = np.searchsorted(live, store)
+                kept.append(tuple(a[:stored].copy() for a in (live, clocks, cells)))
             total_steps += live.size
             if total_steps > _rate_cap_steps:
                 raise RuntimeError(
                     f"simulation exceeded {_rate_cap_steps} jumps; t_max too"
                     " large for these rates"
                 )
-            clocks += rng.exponential(scale[cells // per])
+            holding = rng.standard_exponential(live.size)
+            holding *= scale.take(top)
+            clocks += holding
     paths, times, visited = (np.concatenate(parts) for parts in zip(*kept))
     order = np.argsort(paths, kind="stable")  # rounds stay in time order
     steps = list(zip(times[order].tolist(), visited[order].tolist()))

@@ -155,6 +155,17 @@ def test_heat_summary_and_row(capsys):
     assert doc["row"][0] == pytest.approx(3.0304346042147023, abs=1e-9)
 
 
+def test_heat_at_an_overflowing_t_lambda_runs_with_warnings_as_errors(capsys):
+    # t * lambda past the float range: the stationary law 1/mu(X) = 5/6, exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        doc = run_json(capsys, "heat", "--model", "projective", "--n", "1", "--p", "5",
+                       "--level", "6", "--s", "10", "--t", "1e280", "--x", "7")
+    assert doc["min_entry"] == pytest.approx(5 / 6, rel=1e-12)
+    assert doc["max_entry"] == pytest.approx(5 / 6, rel=1e-12)
+    assert np.allclose(doc["row"], 5 / 6, rtol=1e-12, atol=0)
+
+
 BUILTIN_ARGV = {
     "P1(5) level 3": ["--model", "projective", "--n", "1", "--p", "5", "--level", "3"],
     "P2(5) level 2": ["--model", "projective", "--n", "2", "--p", "5", "--level", "2"],

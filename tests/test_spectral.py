@@ -12,6 +12,7 @@ import itertools
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -513,6 +514,22 @@ def test_semigroup_apply_rejects_non_finite_time(e13_model, t):
         spectral.semigroup_apply(e13_model, 2, t, np.zeros(e13_model.num_cells))
 
 
+def test_heat_past_the_float_range_of_t_lambda_is_the_stationary_law():
+    # t * lambda overflows at s = 10, t = 1e280 on P1(5) m6: exp(-inf) = 0 is
+    # the limit, with no overflow warning where warnings are errors
+    model, _, _ = build_projective_model(5, 1, 6)
+    t = 1e280
+    mass = float(model.cell_measure) * model.num_cells  # mu(X)
+    values = np.random.default_rng(3).normal(size=model.num_cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        form = spectral._heat_parts(model, 10, t)
+        rows = spectral._kernel_rows(model, form, np.array([0, model.num_cells - 1]))
+        out = spectral.semigroup_apply(model, 10, t, values)
+    assert np.allclose(rows, 1 / mass, rtol=1e-12, atol=0)
+    assert np.allclose(out, values.mean(), rtol=0, atol=1e-12)
+
+
 def _semigroup_apply_by_averages(model, s, t, values, complement=True):
     """exp(-tL) v from a full-length copy of the ball means at every depth
     and one decay array per depth, the class weights looked up per top."""
@@ -923,6 +940,78 @@ def test_sampler_draws_block_by_block(monkeypatch, sampler_models, label, t, sta
 def test_sampler_refuses_a_negative_max_store(e13_model):
     with pytest.raises(ValueError, match="max_store"):
         spectral.sample_paths(e13_model, 2, 0.5, 100, seed=1, max_store=-1)
+
+
+# many tops whose census regions interleave in top order, at horizons of
+# about two jumps a path; P2(31) has m = 1, so no shell columns
+WIDE_CASES = [("P2(7) level 2", 0.04), ("P2(31) level 1", 2.0)]
+
+
+@pytest.fixture(scope="module")
+def wide_models():
+    return {
+        "P2(7) level 2": build_projective_model(7, 2, 2)[0],
+        "P2(31) level 1": build_projective_model(31, 2, 1)[0],
+    }
+
+
+@pytest.mark.parametrize("horizon", ["t", "0"])
+@pytest.mark.parametrize("max_store", [0, 10])
+@pytest.mark.parametrize("start", [None, "fixed"])
+@pytest.mark.parametrize("label, t", WIDE_CASES)
+def test_sampler_makes_the_gathering_draws_on_many_tops(wide_models, label, t, start,
+                                                        max_store, horizon):
+    model = wide_models[label]
+    n_paths = 1000
+    kwargs = {"start": None if start is None else model.num_cells // 3 + 1,
+              "max_store": max_store}
+    t = t if horizon == "t" else 0.0
+    got = spectral.sample_paths(model, 2, t, n_paths, seed=37, **kwargs)
+    ref = _gathering_sample_paths(model, 2, t, n_paths, seed=37, **kwargs)
+    for field in ("final_cells", "jump_counts", "first_holding", "empirical_law"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.trajectories == ref.trajectories
+    assert got.to_json_dict() == ref.to_json_dict()
+    if horizon == "t":
+        assert got.jump_counts.max() > 1
+
+
+def test_sampler_holds_one_rate_table(wide_models):
+    # 10 paths on 993 tops: the ntops x (m - 1 + ntops) table and little else
+    model = wide_models["P2(31) level 1"]
+    ntops = len(model.region_index)
+    table = ntops * (model.level - 1 + ntops) * 8
+    tracemalloc.start()
+    try:
+        result = spectral.sample_paths(model, 2, 2.0, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.jump_counts.sum() > 0
+    assert peak <= 1.25 * table + 2 * 2**20, (peak, table)
+
+
+def test_sampler_refuses_a_start_cell_before_allocating(wide_models):
+    model = wide_models["P2(31) level 1"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="start cell"):
+            spectral.sample_paths(model, 2, 2.0, 10, seed=1, start=model.num_cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_sampler_does_not_call_the_reduced_operator(monkeypatch, sampler_models, wide_models):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler reads the census region rates")
+
+    monkeypatch.setattr(spectral, "reduced_operator", refuse)
+    for model in [*sampler_models.values(), *wide_models.values()]:
+        result = spectral.sample_paths(model, 2, 0.01, 100, seed=2)
+        assert result.empirical_law.sum() == pytest.approx(1.0)
 
 
 def _assert_sampler_working_set(n_paths, t):
