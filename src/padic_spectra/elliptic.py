@@ -10,9 +10,15 @@ Top balls carry a reduction-type label:
   only in chart 1 (the chart avoiding the infinity fiber);
 * ``b``: all other fibers, lying in both charts.
 
-One sweep of F_q per curve, kept on the ``CurveSpec``, finds the affine
-points; the point count, the Serre invariant, the branch-point test and
-the model's top balls all read it.
+One sweep of F_q per curve, kept on the ``CurveSpec`` as an int64 array
+(16 bytes a point), finds the affine points; the point count, the Serre
+invariant, the branch-point test and the model's top balls all read it.
+The sweep is one path for every f: numpy arrays of the integer codes of
+all q elements at once, products as digit convolutions reduced by the
+field's modulus and a square-root table filled by one scatter, so it
+makes no per-element Python object.  It costs O(f^2 q) integer work in a
+few dozen array passes; a q past ``MAX_SWEEP_Q`` = 2^22 is refused before
+any array is made.
 
 This region structure produces the two-vertex nerve with weights
 (N-3)/q, (N-1)/q and edge (N-4)/q, where N is the point count, and the
@@ -43,7 +49,6 @@ diagnostics, never used for the inversion itself.
 
 from __future__ import annotations
 
-import array
 import bisect
 import functools
 import math
@@ -56,6 +61,7 @@ from .models import CellModel, _census_table
 from .spectral import _ball_eigenvalue, _census_eigenvalues, _cross_top_parts, _is_integral, _power
 
 __all__ = [
+    "MAX_SWEEP_Q",
     "CurveSpec",
     "HearingResult",
     "HypothesisError",
@@ -141,27 +147,78 @@ class CurveSpec:
         return f"CurveSpec(p={self.p}, f={self.f}, A={self.A.code}, B={self.B.code})"
 
 
-def _affine_points(curve):
-    """The affine F_q-points as sorted (x, y) codes, flat: x0, y0, x1, ...
+# the largest q swept: the sweep peaks near 40 bytes an element (about
+# 150 MB at the limit), codes fit int32, and every digit product stays
+# below 2^46, exact in int64
+MAX_SWEEP_Q = 2**22
 
-    One sweep of F_q, run at most once per curve and kept on it: a table of
-    square roots, then rhs once per x.
+
+def _sweep_points(field, a4, a6):
+    """The affine points of y^2 = x^3 + a4 x + a6 over `field`, as one int64
+    array of sorted (x, y) codes, flat: x0, y0, x1, y1, ...
+
+    Every element at once, as an (f, q) array of its base-p digits: a
+    product is the digit convolution reduced by the field's modulus (for
+    f = 1, a * b % p), a sum goes digit by digit.  A root table has two
+    slots per square code, filled by scattering every y at 2 * code(y^2),
+    plus one if -y has the smaller code: the roots of a square in ascending
+    order, 0 once.  The right-hand side (x^2 + a4) x + a6 of each x then
+    reads its roots in that order.  Each array is dropped once read, which
+    keeps the peak near five q-long int64 arrays.  ValueError past
+    MAX_SWEEP_Q, before any array is made.
     """
+    p, f, q = field.p, field.f, field.q
+    if q > MAX_SWEEP_Q:
+        raise ValueError(f"q = {q} exceeds the F_q sweep limit {MAX_SWEEP_Q}")
+    place = p ** np.arange(f)
+    modulus = np.array(field.modulus)[:, None]
+
+    def mul(a, b):
+        prod = np.zeros((2 * f - 1, q), dtype=np.int64)
+        np.multiply(a[0], b, out=prod[:f])
+        for i in range(1, f):
+            prod[i : i + f] += a[i] * b
+        for k in range(2 * f - 2, f - 1, -1):  # x^f = -(the modulus's lower terms)
+            prod[k - f : k] -= prod[k] % p * modulus
+        prod = prod[:f]
+        prod %= p
+        return prod
+
+    x = np.arange(q) // place[:, None] % p
+    square = mul(x, x)
+    slot = place @ square
+    slot *= 2
+    square += np.array(a4)[:, None]
+    rhs = mul(square, x)
+    del square
+    rhs += np.array(a6)[:, None]
+    rhs %= p
+    rhs = place @ rhs
+    # the second slot for y when -y has the smaller code (never for 0)
+    np.negative(x, out=x)
+    x %= p
+    neg = place @ x
+    del x
+    slot += np.arange(q) > neg
+    del neg
+    roots = np.full(2 * q, -1, dtype=np.int32)
+    roots[slot] = np.arange(q)
+    del slot
+    found = roots.reshape(q, 2)[rhs]
+    del roots, rhs
+    slots = np.flatnonzero(found >= 0)
+    points = np.empty((slots.size, 2), dtype=np.int64)
+    points[:, 1] = found.ravel()[slots]
+    slots //= 2
+    points[:, 0] = slots
+    return points.ravel()
+
+
+def _affine_points(curve):
+    """The curve's affine F_q-points as `_sweep_points` gives them, swept at
+    most once per curve and kept on it (16 bytes a point)."""
     if curve._points is None:
-        field = curve.field
-        # two slots per square code for its roots in ascending order; -1 where
-        # there is none (non-squares, and the second slot of 0)
-        roots = array.array("q", [-1]) * (2 * field.q)
-        for y in field.elements():
-            k = 2 * (y * y).code
-            roots[k + (roots[k] >= 0)] = y.code
-        points = array.array("q")
-        for x in field.elements():
-            k = 2 * curve.rhs(x).code
-            for y in (roots[k], roots[k + 1]):
-                if y >= 0:
-                    points.extend((x.code, y))
-        curve._points = points
+        curve._points = _sweep_points(curve.field, curve.A.coeffs(), curve.B.coeffs())
     return curve._points
 
 
@@ -169,7 +226,8 @@ def count_points_bruteforce(curve):
     """N = 1 + #{(x, y) in F_q^2 : y^2 = x^3 + Ax + B}, by exhaustion.
 
     The point at infinity contributes the leading 1.  Reads the curve's one
-    sweep of F_q: O(q) field operations the first time, free after.
+    sweep of F_q: numpy passes over all q elements the first time (O(f^2 q)
+    integer operations), free after.
     """
     return 1 + len(_affine_points(curve)) // 2
 
@@ -185,7 +243,7 @@ def branch_points_rational(curve):
     Nonsingularity makes the roots distinct, so splitting is equivalent to
     three points with y = 0 in the curve's one sweep of F_q.
     """
-    return _affine_points(curve)[1::2].count(0) == 3
+    return int(np.count_nonzero(_affine_points(curve)[1::2] == 0)) == 3
 
 
 REGION_CHARTS = {"a": frozenset([0]), "b": frozenset([0, 1]), "c": frozenset([1])}
@@ -210,7 +268,7 @@ def build_elliptic_model(curve, level):
     if level < 2:
         raise ValueError("elliptic models need level >= 2")
     _require_split(curve)
-    ys = np.frombuffer(_affine_points(curve), dtype=np.int64)[1::2]
+    ys = _affine_points(curve)[1::2]
     index = np.concatenate(([0], np.where(ys != 0, 1, 2)))  # a, then b or c by y != 0
     return CellModel(
         f"E(q={curve.q}): y^2 = x^3 + {curve.A.code}x + {curve.B.code}",

@@ -665,7 +665,8 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     round where some path stops) jump, with one round's draws and their
     temporaries.  A stopped path writes its final cell and jump count once;
     its clock is dropped.  Paths are i.i.d., so the blocks leave the law
-    exact.
+    exact.  The table is released before the per-cell law is made from its
+    counts (two n-long arrays).
     """
     if seed is None:
         raise ValueError("a seed is required; sampling must be reproducible")
@@ -800,7 +801,8 @@ def sample_paths(model, s, t_max, n_paths, seed, start=None, max_store=10,
     steps = list(zip(times[order].tolist(), visited[order].tolist()))
     ends = np.cumsum(np.bincount(paths, minlength=store)).tolist()
     trajectories = [steps[a:b] for a, b in zip([0] + ends, ends)]
-    law = np.bincount(final_cells, minlength=n).astype(np.float64) / n_paths
+    del table, flat
+    law = np.bincount(final_cells, minlength=n) / n_paths
     mean_holding = float(n_paths * t_max / (jumps.sum() + n_paths))
     return SimulationResult(
         model.name, s, t_max, seed, final_cells, law, jumps, first_holding,

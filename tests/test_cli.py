@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padic_spectra import builtin_models, cli, models, spectral
+from padic_spectra import builtin_models, cli, elliptic, models, spectral
 from padic_spectra.elliptic import CurveSpec, NoMatchError, build_elliptic_model
 from padic_spectra.polymaps import MAX_PRECISION, PolynomialMap, polymap_to_json_dict
 
@@ -133,17 +133,40 @@ def test_count_refuses_a_coefficient_vector_longer_than_f(capsys):
 )
 def test_one_sweep_of_the_field_per_curve(capsys, monkeypatch, argv):
     # count (N, Serre invariant, branch points) and hear (model, N) read one
-    # sweep of F_q: the cubic is evaluated once per x, q times in all
+    # sweep of F_q, kept on the curve: the sweep runs once, over all q elements
     calls = []
-    rhs = CurveSpec.rhs
+    sweep = elliptic._sweep_points
 
-    def counted(self, x):
-        calls.append(x.code)
-        return rhs(self, x)
+    def counted(field, a4, a6):
+        calls.append(field.q)
+        return sweep(field, a4, a6)
 
-    monkeypatch.setattr(CurveSpec, "rhs", counted)
+    monkeypatch.setattr(elliptic, "_sweep_points", counted)
     run_json(capsys, *argv)
-    assert sorted(calls) == list(range(int(argv[2])))
+    assert calls == [int(argv[2])]
+
+
+@pytest.mark.parametrize("command", [["count"], ["hear", "--s", "3"]])
+def test_curve_past_the_sweep_limit_exits_2_before_any_array(capsys, command):
+    # q = 10^9 + 7: a sweep would need several 8 GB arrays, and its int64
+    # products would overflow
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *command, "--p", "1000000007", "--a4", "1", "--a6", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == "error: q = 1000000007 exceeds the F_q sweep limit 4194304\n"
+    assert peak < 2**20, peak
+
+
+def test_count_at_q_1000003(capsys):
+    # x^3 - x is supersingular for p = 3 mod 4: N = p + 1
+    doc = run_json(capsys, "count", "--p", "1000003", "--a4", "-1", "--a6", "0")
+    assert doc["N"] == 1000004
+    assert doc["branch_points_rational"] is True
 
 
 def test_heat_summary_and_row(capsys):

@@ -7,8 +7,10 @@ are frozen from exact rational quadrature of the distance kernel.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padic_spectra import elliptic, spectral
@@ -199,6 +201,73 @@ def test_model_tops_match_double_loop(curve):
     assert [(t.index, t.label, t.region) for t in model.tops] == tops
     assert list(elliptic._affine_points(curve)) == points
     assert len(model.tops) == count_points_bruteforce(curve)
+
+
+def _affine_points_by_elements(curve):
+    """The sorted flat (x, y) codes by a sweep of F_q one FqElement at a
+    time: a table of square roots in ascending code order, then rhs once
+    per x."""
+    roots = [[] for _ in range(curve.q)]
+    for y in curve.field.elements():
+        roots[(y * y).code].append(y.code)
+    points = []
+    for x in curve.field.elements():
+        for y in roots[curve.rhs(x).code]:
+            points.extend((x.code, y))
+    return points
+
+
+# (p, f, a4, a6, whether the cubic splits); x^3 - x splits over every field
+SWEEP_CASES = [
+    (13, 1, -1, 0, True), (13, 1, 0, 2, False),
+    (15013, 1, -1, 0, True), (15013, 1, 0, 2, False),
+    (20011, 1, -1, 0, True), (20011, 1, 1, 1, False),
+    (5, 2, -1, 0, True), (5, 2, [1, 2], [3, 1], False),
+    (7, 2, -1, 0, True), (7, 2, [1, 2], [3, 1], True), (7, 2, [0, 1], [1], False),
+    (11, 2, -1, 0, True), (11, 2, [1, 2], [3, 1], False),
+    (5, 3, -1, 0, True), (5, 3, [1, 2], [3, 1], True), (5, 3, [0, 1], [1], False),
+    (7, 5, -1, 0, True), (7, 5, [1, 2], [3, 1], False),
+]
+
+
+@pytest.mark.parametrize(
+    "p, f, a4, a6, split", SWEEP_CASES,
+    ids=[f"q{p**f}-{a4}-{a6}".replace(" ", "") for p, f, a4, a6, _ in SWEEP_CASES],
+)
+def test_sweep_matches_the_element_loop(p, f, a4, a6, split):
+    curve = CurveSpec(p, a4, a6, f=f)
+    expected = _affine_points_by_elements(curve)
+    points = elliptic._affine_points(curve)
+    assert points.dtype == np.int64 and points.shape == (len(expected),)
+    assert points.tolist() == expected
+    assert (expected[1::2].count(0) == 3) is split
+    assert branch_points_rational(curve) is split
+    assert count_points_bruteforce(curve) == 1 + len(expected) // 2
+
+
+def test_sweep_peak_memory():
+    # the points (16 bytes each) and a few q-long int64 arrays at a time
+    curve = CurveSpec(20011, -1, 0)
+    tracemalloc.start()
+    try:
+        points = elliptic._affine_points(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 2 * 20011
+    assert peak <= 1.3e6, peak
+
+
+def test_sweep_refuses_a_field_past_its_limit_before_any_array():
+    curve = CurveSpec(7, 1, 1, f=8)  # q = 5764801: one int64 array is 46 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="q = 5764801 exceeds the F_q sweep limit 4194304"):
+            count_points_bruteforce(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
 
 
 def test_level_must_be_at_least_two():

@@ -992,6 +992,20 @@ def test_sampler_holds_one_rate_table(wide_models):
     assert peak <= 1.25 * table + 2 * 2**20, (peak, table)
 
 
+def test_sampler_drops_its_rate_table_before_the_law():
+    # E1009 m2: 1040 tops and 1049360 cells.  The law and its int64 counts
+    # take 8.4 MB each, so the 8.7 MB rate table must be gone by then
+    model = build_elliptic_model(CurveSpec(1009, -1, 0), 2)
+    tracemalloc.start()
+    try:
+        result = spectral.sample_paths(model, 2, 0.001, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.empirical_law.sum() == pytest.approx(1.0)
+    assert peak <= 18e6, peak
+
+
 def test_sampler_refuses_a_start_cell_before_allocating(wide_models):
     model = wide_models["P2(31) level 1"]
     tracemalloc.start()
